@@ -166,16 +166,12 @@ double run_batch_once(DataPlaneEngine& engine, const std::vector<BatchPacket>& s
   return static_cast<double>(src.size()) / seconds_since(t0);
 }
 
-/// Packets/sec for the persistent-worker engine at `workers` shards. The
-/// sweep isolates the worker/ring machinery, so the per-worker LPM cache is
-/// off: the sweep's uniformly random addresses never re-hit a cached route,
-/// and the serial baseline carries no cache either — leaving it on would
-/// charge every miss's probe+insert to the engine. The cache is measured
-/// on its own locality workload in cache_section().
+/// Packets/sec for the persistent-worker engine at `workers` shards, over
+/// the same tables as the serial baseline, so the sweep isolates the
+/// worker/ring machinery.
 double run_engine(Workload& w, bool outbound, std::size_t workers) {
   EngineConfig config;
   config.shards = workers;
-  config.cache_slots = 0;
   DataPlaneEngine engine(w.local, kLocalAs, config);
   double best = 0;
   for (int rep = 0; rep < g_reps; ++rep) {
@@ -246,62 +242,6 @@ void worker_protocol(Workload& w, bench::JsonWriter& json) {
               static_cast<double>(stats.doorbells));
   json.metric("worker_protocol", "chunk_hint",
               static_cast<double>(engine.chunk_hint()));
-}
-
-/// Cache effectiveness needs flow locality: packets drawn from a small pool
-/// of (src, dst) pairs, as a real edge link would see, instead of the
-/// uniformly random addresses of the scaling sweep.
-void cache_section(Workload& w, bench::JsonWriter& json) {
-  constexpr std::size_t kFlows = 512;
-  Xoshiro256 rng(42);
-  std::vector<std::pair<Ipv4Address, Ipv4Address>> flows;
-  flows.reserve(kFlows);
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    flows.emplace_back(
-        Ipv4Address(0x0a000000u |
-                    (static_cast<std::uint32_t>(rng.next()) & 0xffffff)),
-        Ipv4Address(0x14000000u |
-                    (static_cast<std::uint32_t>(rng.next()) & 0xffffff)));
-  }
-  BorderRouter stamper(w.peer, kPeerAs, 13);
-  std::vector<BatchPacket> pristine;
-  pristine.reserve(g_packets);
-  for (std::size_t i = 0; i < g_packets; ++i) {
-    const auto& [src, dst] = flows[rng.below(kFlows)];
-    Ipv4Packet p = Ipv4Packet::make(src, dst, IpProto::kUdp,
-                                    std::vector<std::uint8_t>(16));
-    (void)stamper.process_outbound(p, kMinute);
-    pristine.emplace_back(std::move(p));
-  }
-
-  const std::size_t workers = swept_worker_counts().back();
-  bench::header("per-worker LPM cache (512-flow locality workload)");
-  for (const std::size_t slots : {std::size_t{0}, std::size_t{1024}}) {
-    EngineConfig config;
-    config.shards = workers;
-    config.cache_slots = slots;
-    DataPlaneEngine engine(w.local, kLocalAs, config);
-    double best = 0;
-    for (int rep = 0; rep < g_reps; ++rep) {
-      best = std::max(best, run_batch_once(engine, pristine, false));
-    }
-    const auto cache = engine.cache_stats();
-    const auto lookups = cache.hits + cache.misses;
-    std::printf("  cache %-8s %12.0f pkt/s   hits %9llu  misses %9llu  "
-                "hit-rate %5.1f%%\n",
-                slots == 0 ? "off" : "1024", best,
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                lookups == 0 ? 0.0
-                             : 100.0 * static_cast<double>(cache.hits) /
-                                   static_cast<double>(lookups));
-    const std::string key = slots == 0 ? "off" : "slots1024";
-    json.metric("lpm_cache", key + "_pkts_per_sec", best);
-    json.metric("lpm_cache", key + "_hit_rate",
-                lookups == 0 ? 0.0
-                             : static_cast<double>(cache.hits) /
-                                   static_cast<double>(lookups));
-  }
 }
 
 /// The acceptance bar for the telemetry subsystem: batched-outbound
@@ -473,7 +413,6 @@ int main(int argc, char** argv) {
        [&] { w1_speedup = sweep(w, /*outbound=*/true, json); });
   span("inbound_sweep", [&] { sweep(w, /*outbound=*/false, json); });
   span("worker_protocol", [&] { worker_protocol(w, json); });
-  span("lpm_cache", [&] { cache_section(w, json); });
   span("telemetry_overhead", [&] {
     telemetry_overhead(w, json, telemetry::MetricsRegistry::global());
   });

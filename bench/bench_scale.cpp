@@ -7,9 +7,9 @@
 // Two identically-filled table sets run the identical packet stream:
 //
 //   sealed     RouterTables::seal() — compiled flat-array LPM
-//              (DIR-24-8 at this scale), per-shard caches demoted
-//   trie+cache unsealed — BinaryTrie/StrideTrie lookups behind the
-//              per-shard LpmLookupCache (the pre-seal path)
+//              (DIR-24-8 at this scale)
+//   trie       unsealed — plain BinaryTrie/StrideTrie lookups (the
+//              build representation and test oracle)
 //
 // The merged RouterStats of the two runs must be field-for-field identical
 // (the compiled engines are a pure representation change); that equivalence
@@ -17,7 +17,7 @@
 // topology and workload for the CI leg and additionally gates:
 //   * sealed outbound throughput >= kSmokePktsPerSecFloor,
 //   * compiled bytes/prefix <= kSmokeBytesPerPrefixCeil,
-//   * sealed/trie+cache speedup >= kSmokeSealedSpeedupFloor.
+//   * sealed/trie speedup >= kSmokeSealedSpeedupFloor.
 //
 // Flags: [--smoke] [--scenario FILE] [--trace FILE] [--metrics FILE]
 //        [OUTPUT.json]
@@ -74,7 +74,7 @@ void fill_pfx2as(RouterTables& tables, const InternetDataset& dataset) {
 
 /// The AS-under-test fixture: stamp everything leaving for the peer,
 /// verify everything arriving for our own prefixes. Applied identically to
-/// the sealed and the trie+cache table sets so the two runs differ only in
+/// the sealed and the trie table sets so the two runs differ only in
 /// lookup machinery.
 void fill_local(RouterTables& tables, const InternetDataset& dataset,
                 AsNumber local_as, AsNumber peer_as) {
@@ -132,8 +132,8 @@ double outbound_pass(DataPlaneEngine& engine, const FlowStream& stream,
   return static_cast<double>(chunks * buf.indices.size()) / secs;
 }
 
-/// Untimed warmup chunk: first-touch of the compiled tables / cache and
-/// the engine's worker spin-up happen off the clock.
+/// Untimed warmup chunk: first-touch of the tables and the engine's worker
+/// spin-up happen off the clock.
 void warmup(DataPlaneEngine& engine, const FlowStream& stream,
             ChunkBuffers& buf) {
   stream.fill_chunk(0, buf.packets);
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     spec.scale.chunk = 4096;
   }
 
-  bench::header("paper-scale streaming soak (sealed flat LPM vs trie+cache)");
+  bench::header("paper-scale streaming soak (sealed flat LPM vs trie)");
   const auto t_gen = std::chrono::steady_clock::now();
   const InternetDataset dataset = generate_dataset(spec.synthetic);
   const std::vector<AsNumber> by_space = dataset.ases_by_space_desc();
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   std::printf("  %-34s %12.0f pkt/s\n", "outbound, sealed flat LPM",
               sealed_rate);
   std::printf("  %-34s %12.0f pkt/s   sealed speedup %5.2fx (median of %d)\n",
-              "outbound, trie + per-shard cache", trie_rate, speedup, reps);
+              "outbound, trie", trie_rate, speedup, reps);
   std::printf("  %-34s %12.0f pkt/s\n", "inbound,  sealed flat LPM", in_rate);
 
   const double prefixes = static_cast<double>(dataset.entries().size());
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   json.metric("workload", "chunk", static_cast<double>(spec.scale.chunk));
   json.metric("workload", "zipf_s", spec.scale.zipf_s);
   json.metric("outbound", "sealed_pkts_per_sec", sealed_rate);
-  json.metric("outbound", "trie_cache_pkts_per_sec", trie_rate);
+  json.metric("outbound", "trie_pkts_per_sec", trie_rate);
   json.metric("outbound", "sealed_speedup", speedup);
   json.metric("inbound", "sealed_pkts_per_sec", in_rate);
   json.metric("memory", "compiled_bytes", compiled_bytes);
@@ -313,9 +313,9 @@ int main(int argc, char** argv) {
 
   bool ok = bench::finish(json, args, &registry, nullptr);
   // Representation-equivalence gate (every mode): the sealed run and the
-  // trie+cache run saw byte-identical packets, so every counter must match.
+  // trie run saw byte-identical packets, so every counter must match.
   if (sealed_stats != trie_stats) {
-    std::printf("\nGATE FAILED: sealed vs trie+cache RouterStats diverge "
+    std::printf("\nGATE FAILED: sealed vs trie RouterStats diverge "
                 "(stamped %llu vs %llu, dropped %llu vs %llu)\n",
                 static_cast<unsigned long long>(sealed_stats.out_stamped),
                 static_cast<unsigned long long>(trie_stats.out_stamped),
@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
     }
     if (speedup < kSmokeSealedSpeedupFloor) {
       std::printf("\nSMOKE GATE FAILED: sealed speedup %.3fx < %.2fx over "
-                  "trie+cache\n",
+                  "trie\n",
                   speedup, kSmokeSealedSpeedupFloor);
       ok = false;
     }

@@ -1,7 +1,8 @@
-// Throughput harness for the PR 2 transactional update pipeline:
-//   1. table updates — N per-entry update_tables() calls (N writer-lock
-//      acquisitions, N cache flushes) vs one N-op TableTransaction (one of
-//      each), the batching the con-rou channel buys the control plane;
+// Throughput harness for the transactional update pipeline:
+//   1. table updates — N single-op DataPlaneEngine::apply calls (N
+//      writer-lock acquisitions, N epoch bumps) vs one N-op
+//      TableTransaction (one of each), the batching the con-rou channel
+//      buys the control plane;
 //   2. transaction application rate through DataPlaneEngine::apply and
 //      through a zero-latency ConRouChannel (channel bookkeeping overhead);
 //   3. the DiscsSystem packet plane — run_attack (per-packet BorderRouter
@@ -29,30 +30,30 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Ops/sec installing `ops` verify keys one update_tables() call at a time
-/// vs as a single transaction. Tables stay unsealed: the per-entry path is
-/// exactly the pre-transaction idiom this pipeline replaced.
+/// Ops/sec installing `ops` verify keys one single-op transaction at a time
+/// vs as a single transaction: N writer-lock acquisitions against one.
 void table_update_section(bench::JsonWriter& json) {
   constexpr std::size_t kOps = 4096;
-  bench::header("table updates: per-entry update_tables vs one transaction");
+  bench::header("table updates: per-entry apply vs one transaction");
 
   double per_entry = 0;
   double batched = 0;
   for (int rep = 0; rep < g_reps; ++rep) {
     {
       RouterTables tables;
+      tables.seal();
       DataPlaneEngine engine(tables, 1);
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < kOps; ++i) {
-        engine.update_tables([i](RouterTables& t) {
-          t.key_v.set_key(static_cast<AsNumber>(i + 2), derive_key128(i));
-        });
+        TableTransaction txn;
+        txn.set_verify_key(static_cast<AsNumber>(i + 2), derive_key128(i));
+        (void)engine.apply(txn, kMinute);
       }
       per_entry = std::max(per_entry, kOps / seconds_since(t0));
     }
     {
       RouterTables tables;
-      tables.seal();  // the transaction path works on sealed tables
+      tables.seal();
       DataPlaneEngine engine(tables, 1);
       TableTransaction txn;
       for (std::size_t i = 0; i < kOps; ++i) {
@@ -63,7 +64,7 @@ void table_update_section(bench::JsonWriter& json) {
       batched = std::max(batched, kOps / seconds_since(t0));
     }
   }
-  std::printf("  %-32s %12.0f ops/s\n", "per-entry update_tables", per_entry);
+  std::printf("  %-32s %12.0f ops/s\n", "per-entry apply", per_entry);
   std::printf("  %-32s %12.0f ops/s   speedup %5.2fx\n", "one 4096-op txn",
               batched, batched / per_entry);
   json.metric("table_update", "per_entry_ops_per_sec", per_entry);
@@ -181,9 +182,7 @@ int main(int argc, char** argv) {
     g_scale = 10;
   }
   bench::header("transactional table-update pipeline");
-  bench::note("best of " + std::to_string(g_reps) +
-              " reps per section; single-threaded engine shards on "
-              "a 1-core host measure pipeline overhead, not parallelism");
+  bench::note("best of " + std::to_string(g_reps) + " reps per section");
   bench::JsonWriter json = bench::make_writer("transactions", args);
   table_update_section(json);
   txn_rate_section(json);

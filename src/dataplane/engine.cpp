@@ -78,9 +78,7 @@ std::uint32_t flow_hash(const BatchPacket& packet) {
 
 DataPlaneEngine::DataPlaneEngine(RouterTables& tables, AsNumber local_as,
                                  EngineConfig config)
-    : tables_(&tables),
-      config_(config),
-      cache_enabled_(config.cache_slots > 0) {
+    : tables_(&tables), config_(config) {
   const std::size_t n = std::max<std::size_t>(
       1, config.shards == 0
              ? std::max(1u, std::thread::hardware_concurrency())
@@ -91,7 +89,7 @@ DataPlaneEngine::DataPlaneEngine(RouterTables& tables, AsNumber local_as,
   for (std::size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>(s, tables, local_as,
                                          derive_seed(config.rng_seed, s),
-                                         config.external_mtu, config.cache_slots);
+                                         config.external_mtu);
     Shard* raw = shard.get();
     // Shard routers report into shard-local buffers; drain_sinks() forwards
     // them to the user sinks on the consumer thread after each batch.
@@ -101,21 +99,9 @@ DataPlaneEngine::DataPlaneEngine(RouterTables& tables, AsNumber local_as,
         [raw](Ipv6Packet packet) { raw->icmp6.push_back(std::move(packet)); });
     raw->router.set_flow_sink(
         [raw](const FlowReport& report) { raw->flow_reports.push_back(report); });
-    if (cache_enabled_) raw->router.set_lookup_cache(&raw->cache);
     shards_.push_back(std::move(shard));
   }
-  maybe_demote_caches();
   if (config_.spawn_workers_eagerly) start();
-}
-
-void DataPlaneEngine::maybe_demote_caches() {
-  // Sealed tables serve every lookup from the compiled flat arrays
-  // (lpm/flat.hpp) — a raw array load or two — so the per-shard cache in
-  // front of them only adds a probe+insert per packet. Retire it. Unsealed
-  // tables (test fixtures, benches) keep the cache-over-trie path.
-  if (!cache_enabled_ || caches_demoted_ || !tables_->sealed()) return;
-  for (auto& shard : shards_) shard->router.set_lookup_cache(nullptr);
-  caches_demoted_ = true;
 }
 
 void DataPlaneEngine::start() {
@@ -318,14 +304,12 @@ void DataPlaneEngine::process(std::span<BatchPacket> packets,
       Shard& shard = *shards_[0];
       if (instrumented) {
         telem_.queue_depth->record(static_cast<double>(indices.size()));
-        if (cache_enabled_) shard.cache_before = shard.cache.stats();
       }
       const std::size_t chunk = autotune_chunk(indices.size());
       for (std::size_t at = 0; at < indices.size(); at += chunk) {
         run_chunk(shard, indices.subspan(at, std::min(chunk, indices.size() - at)),
                   kOutbound);
       }
-      if (instrumented && cache_enabled_) record_batch_telemetry();
     } else {
       // Partition: one flow-hash pass filling the per-shard index lists.
       for (auto& shard : shards_) shard->indices.clear();
@@ -338,7 +322,6 @@ void DataPlaneEngine::process(std::span<BatchPacket> packets,
         if (instrumented) {
           telem_.queue_depth->record(
               static_cast<double>(shard->indices.size()));
-          if (cache_enabled_) shard->cache_before = shard->cache.stats();
         }
       }
       const std::size_t chunk = autotune_chunk(max_occupancy);
@@ -366,25 +349,9 @@ void DataPlaneEngine::process(std::span<BatchPacket> packets,
                   kOutbound);
       }
       for (auto& worker : workers_) wait_for(*worker);
-      if (instrumented && cache_enabled_) record_batch_telemetry();
     }
   }
   drain_sinks();
-}
-
-void DataPlaneEngine::record_batch_telemetry() {
-  // Consumer-side, once per shard per batch, after the rings quiesced (the
-  // completion acquire makes the worker-written cache counters visible).
-  for (const auto& shard : shards_) {
-    const LpmLookupCache::Stats after = shard->cache.stats();
-    const std::uint64_t hits = after.hits - shard->cache_before.hits;
-    const std::uint64_t total =
-        hits + (after.misses - shard->cache_before.misses);
-    if (total > 0) {
-      telem_.cache_hit_rate->record(static_cast<double>(hits) /
-                                    static_cast<double>(total));
-    }
-  }
 }
 
 template <bool kOutbound>
@@ -459,28 +426,12 @@ void DataPlaneEngine::drain_sinks() {
   }
 }
 
-void DataPlaneEngine::update_tables(
-    const std::function<void(RouterTables&)>& mutate) {
+TableEpoch DataPlaneEngine::apply(const TableTransaction& txn, SimTime now) {
   // The writer lock IS the quiesce: a batch holds the reader lock from
   // fan-out until every ring drained, so once we own the lock all workers
   // are parked and every ring is empty — no joins, no thread churn.
   std::unique_lock lock(mutex_);
-  mutate(*tables_);
-  for (auto& shard : shards_) shard->cache.invalidate();
-  maybe_demote_caches();
-}
-
-TableEpoch DataPlaneEngine::apply(const TableTransaction& txn, SimTime now) {
-  std::unique_lock lock(mutex_);
-  const TableEpoch epoch = txn.apply(*tables_, now);
-  for (auto& shard : shards_) shard->cache.invalidate();
-  maybe_demote_caches();
-  return epoch;
-}
-
-void DataPlaneEngine::invalidate_caches() {
-  for (auto& shard : shards_) shard->cache.invalidate();
-  maybe_demote_caches();
+  return txn.apply(*tables_, now);
 }
 
 void DataPlaneEngine::set_alarm_mode(bool on) {
@@ -550,9 +501,6 @@ void DataPlaneEngine::bind_metrics(telemetry::MetricsRegistry& registry,
   t.queue_depth = &registry.histogram(
       "discs_engine_shard_queue_depth", telemetry::Histogram::pow2_bounds(17),
       "Packets hashed onto one shard within one batch", labels);
-  t.cache_hit_rate = &registry.histogram(
-      "discs_engine_lpm_cache_hit_rate", telemetry::Histogram::unit_bounds(20),
-      "Per-shard LPM lookup-cache hit rate over one batch", labels);
   telemetry::Histogram& occupancy = registry.histogram(
       "discs_engine_cmac_batch_occupancy", telemetry::Histogram::pow2_bounds(17),
       "Deferred AES-CMAC computations per batch flush", labels);
@@ -563,13 +511,11 @@ void DataPlaneEngine::bind_metrics(telemetry::MetricsRegistry& registry,
                    "AES implementation in use; value is always 1", l)
         .set(1);
   }
-  // Pull-mode view: the RouterStats / cache Stats structs and the worker
-  // protocol counters stay the source of truth, the registry reads them
-  // only at scrape time.
+  // Pull-mode view: the RouterStats struct and the worker protocol counters
+  // stay the source of truth, the registry reads them only at scrape time.
   const telemetry::MetricsRegistry::CollectorId collector =
       registry.add_collector([this, labels](std::vector<telemetry::Sample>& out) {
         const RouterStats s = stats();
-        const LpmLookupCache::Stats c = cache_stats();
         const WorkerStats w = worker_stats();
         auto emit = [&](const char* name, std::uint64_t v) {
           out.push_back({name, static_cast<double>(v), labels,
@@ -587,8 +533,6 @@ void DataPlaneEngine::bind_metrics(telemetry::MetricsRegistry& registry,
         emit("discs_router_in_erased_tolerance_total", s.in_erased_tolerance);
         emit("discs_router_in_passed_unverified_total", s.in_passed_unverified);
         emit("discs_router_icmp_scrubbed_total", s.icmp_scrubbed);
-        emit("discs_lpm_cache_hits_total", c.hits);
-        emit("discs_lpm_cache_misses_total", c.misses);
         emit("discs_engine_worker_parks_total", w.parks);
         emit("discs_engine_worker_wakeups_total", w.wakeups);
         emit("discs_engine_worker_doorbells_total", w.doorbells);
@@ -645,13 +589,6 @@ RouterStats DataPlaneEngine::stats() const {
   std::unique_lock lock(mutex_);
   RouterStats total;
   for (const auto& shard : shards_) total += shard->router.stats();
-  return total;
-}
-
-LpmLookupCache::Stats DataPlaneEngine::cache_stats() const {
-  std::unique_lock lock(mutex_);
-  LpmLookupCache::Stats total;
-  for (const auto& shard : shards_) total += shard->cache.stats();
   return total;
 }
 

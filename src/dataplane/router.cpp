@@ -187,7 +187,7 @@ void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,
   // Phase A: table lookups, drop/too-big decisions, and mark-work
   // collection, in index order. The lookahead hints the sealed tables'
   // root lines a few packets early so their likely-cold loads overlap the
-  // lookups in between (no-op on the cache and unsealed-trie paths).
+  // lookups in between (no-op on the unsealed-trie path).
   for (std::size_t i = 0; i < indices.size(); ++i) {
     if (i + kPrefetchLookahead < indices.size()) {
       std::visit(

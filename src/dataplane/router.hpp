@@ -159,11 +159,6 @@ class BorderRouter {
     traffic_observer_ = std::move(observer);
   }
 
-  /// Installs a per-worker LPM lookup cache in front of the table lookups
-  /// (engine shards use this); nullptr removes it. The cache must only ever
-  /// be driven by this router's processing thread.
-  void set_lookup_cache(LpmLookupCache* cache) { tuples_.set_lookup_cache(cache); }
-
   /// Processes a packet leaving the local AS through this border router.
   Verdict process_outbound(Ipv4Packet& packet, SimTime now);
   Verdict process_outbound(Ipv6Packet& packet, SimTime now);

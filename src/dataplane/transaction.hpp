@@ -1,9 +1,10 @@
 // TableTransaction: a batched, epoch-stamped set of add/remove operations
 // over a router's tables (Pfx2AS, Key-S/Key-V, and the four function
-// tables). This is the *only* way a sealed RouterTables changes — the
-// controller composes one transaction per con-rou message (paper §IV-B) and
-// the channel delivers it atomically to the data-plane engine, which applies
-// it under its writer lock with a single cache-generation bump.
+// tables). This is the *only* way a sealed RouterTables changes, and the
+// only way a live engine's tables change at all — the controller composes
+// one transaction per con-rou message (paper §IV-B) and the channel delivers
+// it atomically to the data-plane engine, which applies it under its writer
+// lock with a single epoch bump.
 //
 // Function installs come in two flavours:
 //  - duration-relative (`install_function`): the window is computed at

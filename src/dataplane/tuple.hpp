@@ -12,7 +12,6 @@
 
 #include <optional>
 
-#include "dataplane/lpm_cache.hpp"
 #include "dataplane/tables.hpp"
 
 namespace discs {
@@ -46,21 +45,14 @@ class TupleGenerator {
   TupleGenerator(const RouterTables& tables, AsNumber local_as)
       : tables_(&tables), local_as_(local_as) {}
 
-  /// Routes all LPM lookups (Pfx2AS + the four function tables) through a
-  /// per-worker cache; nullptr restores direct lookups. The caller owns the
-  /// cache's lifetime and its invalidation when tables change.
-  void set_lookup_cache(LpmLookupCache* cache) { cache_ = cache; }
-
   /// §V-B in-tuple: verify? set iff CSP-verify ∈ In-Src(s) or
   /// CDP-verify ∈ In-Dst(d); key_v = Key-V(Pfx2AS(s)).
   template <typename Addr>
   [[nodiscard]] InTuple in_tuple(const Addr& src, const Addr& dst,
                                  SimTime now) const {
     InTuple tuple;
-    const FunctionMatch src_match =
-        functions(LpmLookupCache::Table::kInSrc, tables_->in_src, src, now);
-    const FunctionMatch dst_match =
-        functions(LpmLookupCache::Table::kInDst, tables_->in_dst, dst, now);
+    const FunctionMatch src_match = tables_->in_src.lookup(src, now);
+    const FunctionMatch dst_match = tables_->in_dst.lookup(dst, now);
     const bool csp = has_function(src_match.functions, DefenseFunction::kCspVerify);
     const bool cdp = has_function(dst_match.functions, DefenseFunction::kCdpVerify);
     if (!csp && !cdp) return tuple;
@@ -81,10 +73,8 @@ class TupleGenerator {
   [[nodiscard]] OutTuple out_tuple(const Addr& src, const Addr& dst,
                                    SimTime now) const {
     OutTuple tuple;
-    const FunctionMatch src_match =
-        functions(LpmLookupCache::Table::kOutSrc, tables_->out_src, src, now);
-    const FunctionMatch dst_match =
-        functions(LpmLookupCache::Table::kOutDst, tables_->out_dst, dst, now);
+    const FunctionMatch src_match = tables_->out_src.lookup(src, now);
+    const FunctionMatch dst_match = tables_->out_dst.lookup(dst, now);
     const bool sp = has_function(src_match.functions, DefenseFunction::kSp);
     const bool dp = has_function(dst_match.functions, DefenseFunction::kDp);
     if ((sp || dp) && origin_as(src) != local_as_) {
@@ -109,11 +99,9 @@ class TupleGenerator {
   /// Cache hints for the lookups out_tuple(src, dst) is about to do. The
   /// batch phase-A loops call this a few packets ahead of the packet being
   /// processed, overlapping the compiled tables' root loads with work.
-  /// No-ops on the cache path (probes are already cache-resident) and on
-  /// unsealed tables (nothing compiled to prefetch).
+  /// No-ops on unsealed tables (nothing compiled to prefetch).
   template <typename Addr>
   void prefetch_out(const Addr& src, const Addr& dst) const {
-    if (cache_ != nullptr) return;
     tables_->out_src.prefetch(src);
     tables_->out_dst.prefetch(dst);
     tables_->pfx2as.prefetch(dst);
@@ -122,7 +110,6 @@ class TupleGenerator {
   /// in_tuple twin: function tables plus the source-AS origin lookup.
   template <typename Addr>
   void prefetch_in(const Addr& src, const Addr& dst) const {
-    if (cache_ != nullptr) return;
     tables_->in_src.prefetch(src);
     tables_->in_dst.prefetch(dst);
     tables_->pfx2as.prefetch(src);
@@ -132,21 +119,12 @@ class TupleGenerator {
 
  private:
   template <typename Addr>
-  [[nodiscard]] FunctionMatch functions(LpmLookupCache::Table which,
-                                        const FunctionTable& table,
-                                        const Addr& addr, SimTime now) const {
-    return cache_ != nullptr ? cache_->functions(which, table, addr, now)
-                             : table.lookup(addr, now);
-  }
-  template <typename Addr>
   [[nodiscard]] AsNumber origin_as(const Addr& addr) const {
-    return cache_ != nullptr ? cache_->pfx2as(tables_->pfx2as, addr)
-                             : tables_->pfx2as.lookup(addr);
+    return tables_->pfx2as.lookup(addr);
   }
 
   const RouterTables* tables_;
   AsNumber local_as_;
-  LpmLookupCache* cache_ = nullptr;
 };
 
 }  // namespace discs

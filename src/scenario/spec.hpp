@@ -37,7 +37,7 @@
 //   fault.drop/.duplicate <probability>  fault.reorder/.jitter <time>
 //   fault.partition <asA> <asB> <start> <end>
 //   fault.seed <u64>
-//   engine.shards/.cache_slots/.ring_slots/.min_chunk/.max_chunk <n>
+//   engine.shards/.ring_slots/.min_chunk/.max_chunk <n>
 //   scale.flows/.packets/.chunk/.payload <n>  scale.zipf_s <f>
 //                                        # streaming-workload shape for
 //                                        # bench_scale (FlowStream)

@@ -1,8 +1,9 @@
 // Hammers the sharded engine from a table-update thread while batches flow:
 // deploy/undeploy of verify windows and two-phase re-keying land mid-stream
-// via update_tables(). Invariants checked:
+// as TableTransactions through DataPlaneEngine::apply() on unsealed tables.
+// Invariants checked:
 //  * genuinely stamped traffic is NEVER dropped, whatever the interleaving —
-//    a stale cached verdict or a torn key-table read would break this;
+//    a torn key-table or function-table read would break this;
 //  * no counter loss: merged RouterStats account for every packet and every
 //    drop verdict the consumer observed;
 //  * runs clean under TSan (the CI tsan job builds exactly this binary).
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dataplane/transaction.hpp"
 
 namespace discs {
 namespace {
@@ -48,21 +50,27 @@ struct SharedTables {
     peer.out_dst.install(*Prefix6::parse("2001:db8:bbbb::/48"),
                          DefenseFunction::kCdpStamp, 0, kHour);
     // The verify window starts deployed; the update thread toggles it.
-    deploy(victim);
+    (void)deploy().apply(victim, 0);
   }
 
-  static void deploy(RouterTables& t) {
-    t.in_dst.install(*Prefix4::parse("20.0.0.0/8"),
-                     DefenseFunction::kCdpVerify, 0, kHour);
-    t.in_dst.install(*Prefix6::parse("2001:db8:bbbb::/48"),
-                     DefenseFunction::kCdpVerify, 0, kHour);
+  static TableTransaction deploy() {
+    TableTransaction txn;
+    txn.install_function_window(FunctionDirection::kInDst,
+                                *Prefix4::parse("20.0.0.0/8"),
+                                DefenseFunction::kCdpVerify, 0, kHour);
+    txn.install_function_window(FunctionDirection::kInDst,
+                                *Prefix6::parse("2001:db8:bbbb::/48"),
+                                DefenseFunction::kCdpVerify, 0, kHour);
+    return txn;
   }
-  static void undeploy(RouterTables& t) {
-    // Windows cannot be deleted individually; expiring everything after
-    // rebasing the end time models the teardown. Simpler: expire(kHour+1)
-    // clears all windows, deploy() reinstalls.
-    t.in_dst.expire(kHour + 1);
+  // Windows cannot be deleted individually; an expiry sweep applied at
+  // kHour+1 clears them all and models the teardown, deploy() reinstalls.
+  static TableTransaction undeploy() {
+    TableTransaction txn;
+    txn.expire_functions();
+    return txn;
   }
+  static constexpr SimTime kUndeployAt = kHour + 1;
 };
 
 Ipv4Address rand4(Xoshiro256& rng, std::uint32_t net) {
@@ -79,7 +87,6 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
   SharedTables shared;
   EngineConfig config;
   config.shards = 4;
-  config.cache_slots = 256;
   DataPlaneEngine engine(shared.victim, kVictimAs, config);
 
   constexpr int kBatches = 150;
@@ -96,23 +103,22 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
       switch (rng.below(3)) {
         case 0:  // two-phase re-key: the old key stays valid as grace key
           key_is_a = !key_is_a;
-          engine.update_tables([&](RouterTables& t) {
-            t.key_v.set_key(kPeerAs, key_is_a ? kKeyA : kKeyB,
-                            /*retain_previous=*/true);
-          });
+          (void)engine.apply(TableTransaction().set_verify_key(
+                                 kPeerAs, key_is_a ? kKeyA : kKeyB,
+                                 /*retain_previous=*/true),
+                             kNow);
           break;
         case 1:  // deploy/undeploy of the verify windows
           deployed = !deployed;
-          engine.update_tables([&](RouterTables& t) {
-            if (deployed) {
-              SharedTables::deploy(t);
-            } else {
-              SharedTables::undeploy(t);
-            }
-          });
+          if (deployed) {
+            (void)engine.apply(SharedTables::deploy(), kNow);
+          } else {
+            (void)engine.apply(SharedTables::undeploy(),
+                               SharedTables::kUndeployAt);
+          }
           break;
-        case 2:  // out-of-band flush must also be safe at any time
-          engine.invalidate_caches();
+        case 2:  // an empty transaction (epoch bump only) is safe at any time
+          (void)engine.apply(TableTransaction(), kNow);
           break;
       }
       updates.fetch_add(1, std::memory_order_relaxed);
@@ -161,11 +167,6 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
   EXPECT_EQ(stats.in_spoof_dropped, 0u);
   EXPECT_EQ(stats.in_spoof_sampled, 0u);
   EXPECT_GT(updates.load(), 0u);
-
-  // Every packet drove at least the two function-table lookups through the
-  // per-shard caches (plus a Pfx2AS lookup when the window was live).
-  const auto cache = engine.cache_stats();
-  EXPECT_GE(cache.hits + cache.misses, processed * 2);
 }
 
 // Spoofed traffic is judged against whatever table state its batch ran
@@ -183,13 +184,11 @@ TEST(EngineConcurrencyTest, SpoofedTrafficCountsStayConsistent) {
     bool deployed = true;
     while (!stop.load(std::memory_order_acquire)) {
       deployed = !deployed;
-      engine.update_tables([&](RouterTables& t) {
-        if (deployed) {
-          SharedTables::deploy(t);
-        } else {
-          SharedTables::undeploy(t);
-        }
-      });
+      if (deployed) {
+        (void)engine.apply(SharedTables::deploy(), kMinute);
+      } else {
+        (void)engine.apply(SharedTables::undeploy(), SharedTables::kUndeployAt);
+      }
       std::this_thread::yield();
     }
   });

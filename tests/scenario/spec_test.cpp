@@ -124,6 +124,8 @@ TEST(ScenarioSpecTest, HashIsStableAcrossCosmeticReformatting) {
 
 TEST(ScenarioSpecTest, UnknownKeysAndValuesAreRejected) {
   expect_rejected("topology synthetic\nbogus_key 1\n", "unknown key");
+  expect_rejected("topology synthetic\nengine.cache_slots 1024\n",
+                  "removed engine key");
   expect_rejected("topology martian\n", "unknown topology");
   expect_rejected("topology synthetic\nworld cloud\n", "unknown world");
   expect_rejected("topology synthetic\ndeploy.strategy best\n",
