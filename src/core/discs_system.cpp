@@ -161,8 +161,9 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
   if (batch.empty()) return results;
   const bool origin_routable = graph_.contains(origin_as);
 
-  // AS-level paths resolved once per destination AS within the batch (the
-  // graph computes a path in O(V+E); a batch shares few destinations).
+  // AS-level paths resolved once per destination AS within the batch (each
+  // path walks the two endpoints' provider ancestry, tens of ASes; a batch
+  // shares few destinations).
   std::unordered_map<AsNumber, std::vector<AsNumber>> paths;
   const auto path_to = [&](AsNumber dst) -> const std::vector<AsNumber>& {
     const auto [it, inserted] = paths.try_emplace(dst);

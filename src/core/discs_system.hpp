@@ -119,7 +119,8 @@ class DiscsSystem {
   /// inbound per destination DAS), instead of one BorderRouter call per
   /// packet. Packets are mutated in place exactly like send_packet; the
   /// result vector is aligned with batch indices. AS-level paths are
-  /// computed once per destination AS within the batch.
+  /// computed once per destination AS within the batch, each touching only
+  /// the endpoints' provider ancestry (AsGraph::path).
   std::vector<DeliveryResult> send_batch(AsNumber origin_as, PacketBatch& batch);
 
   /// Same, with an explicit timestamp instead of loop().now() — for callers

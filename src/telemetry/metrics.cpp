@@ -52,15 +52,6 @@ std::vector<double> Histogram::pow2_bounds(std::size_t n) {
   return bounds;
 }
 
-std::vector<double> Histogram::unit_bounds(std::size_t n) {
-  std::vector<double> bounds;
-  bounds.reserve(n);
-  for (std::size_t i = 1; i <= n; ++i) {
-    bounds.push_back(static_cast<double>(i) / static_cast<double>(n));
-  }
-  return bounds;
-}
-
 MetricsRegistry::Entry* MetricsRegistry::find_locked(const std::string& name,
                                                      const Labels& labels) {
   for (const auto& e : entries_) {

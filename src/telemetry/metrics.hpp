@@ -112,8 +112,6 @@ class Histogram {
 
   /// Common bound sets. Powers of two from 1 to 2^(n-1).
   static std::vector<double> pow2_bounds(std::size_t n);
-  /// n equal-width buckets over [0, 1] — rates and occupancy fractions.
-  static std::vector<double> unit_bounds(std::size_t n);
 
  private:
   static constexpr double kSumScale = 1 << 20;

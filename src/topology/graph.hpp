@@ -59,7 +59,10 @@ class AsGraph {
   [[nodiscard]] RouteTable routes_to(AsNumber dst) const;
 
   /// The forwarding AS path src -> dst under `routes_to(dst)`; empty when
-  /// unreachable. Includes both endpoints.
+  /// unreachable or either endpoint is unknown. Includes both endpoints.
+  /// Demand-driven: it solves routes only on dst's and src's provider
+  /// ancestry (a few dozen ASes on generated graphs), not on the whole
+  /// graph, and allocates only per call, so concurrent calls are safe.
   [[nodiscard]] std::vector<AsNumber> path(AsNumber src, AsNumber dst) const;
 
   /// Index of an AS in the dense node arrays (for external per-AS state).
@@ -70,9 +73,14 @@ class AsGraph {
 
   std::unordered_map<AsNumber, std::size_t> index_;
   std::vector<AsNumber> asn_of_;
+  // Adjacency by ASN, for the public accessors.
   std::vector<std::vector<AsNumber>> providers_;
   std::vector<std::vector<AsNumber>> customers_;
   std::vector<std::vector<AsNumber>> peers_;
+  // The same edges by dense node index, for route computation.
+  std::vector<std::vector<std::uint32_t>> provider_idx_;
+  std::vector<std::vector<std::uint32_t>> customer_idx_;
+  std::vector<std::vector<std::uint32_t>> peer_idx_;
 };
 
 /// Generates a power-law-ish AS graph aligned with a size ordering: the

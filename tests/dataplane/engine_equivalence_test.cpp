@@ -332,11 +332,10 @@ TEST_P(EngineEquivalence, OutboundMatchesSerial) {
 }
 
 // Sealed-path conformance: the same mixes through an engine whose tables
-// were sealed — so lookups ride the compiled DIR-24-8/flat engines with the
-// per-shard LPM cache retired — must produce exactly the verdicts, stats,
-// and sink multisets of the serial router walking the build tries. Env
-// construction is deterministic, so the two Envs hold identical tables and
-// keys; only the lookup substrate differs.
+// were sealed — so lookups ride the compiled DIR-24-8/flat engines — must
+// produce exactly the verdicts, stats, and sink multisets of the serial
+// router walking the build tries. Env construction is deterministic, so the
+// two Envs hold identical tables and keys; only the lookup substrate differs.
 TEST_P(EngineEquivalence, SealedTablesMatchTriePath) {
   const auto [seed, shards] = GetParam();
   Env trie_env;

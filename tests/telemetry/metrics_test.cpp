@@ -76,17 +76,12 @@ TEST(HistogramTest, RecordNCountsOncePerUnit) {
   EXPECT_NEAR(snap.sum, 15.0, 1e-4);
 }
 
-TEST(HistogramTest, Pow2AndUnitBoundHelpers) {
+TEST(HistogramTest, Pow2BoundHelper) {
   const auto p = Histogram::pow2_bounds(4);
   ASSERT_EQ(p.size(), 4u);
   EXPECT_DOUBLE_EQ(p.front(), 1.0);
   EXPECT_DOUBLE_EQ(p.back(), 8.0);
   EXPECT_TRUE(std::is_sorted(p.begin(), p.end()));
-
-  const auto u = Histogram::unit_bounds(10);
-  ASSERT_EQ(u.size(), 10u);
-  EXPECT_DOUBLE_EQ(u.back(), 1.0);
-  EXPECT_TRUE(std::is_sorted(u.begin(), u.end()));
 }
 
 // The merge-determinism contract the equivalence suites lean on: the same
