@@ -380,10 +380,12 @@ int main(int argc, char** argv) {
     g_reps = 3;
   }
 
-  telemetry::SimTracer tracer;
-  tracer.set_process_name("bench_engine");
-  // The harness has no simulation clock; trace timestamps are wall-clock
-  // microseconds since startup, which the trace viewer renders just as well.
+  // One trace of five phase spans. The harness has no simulation clock;
+  // timestamps are steady-clock microseconds since startup, which the
+  // trace viewer renders just as well.
+  telemetry::SpanTracer tracer(/*node_id=*/0);
+  bench::open_trace(args, tracer);
+  const std::uint64_t trace = tracer.new_id();
   const auto origin = std::chrono::steady_clock::now();
   auto wall_us = [&origin] {
     return static_cast<SimTime>(
@@ -394,7 +396,8 @@ int main(int argc, char** argv) {
   auto span = [&](const char* name, auto&& fn) {
     const SimTime t0 = wall_us();
     fn();
-    tracer.complete(name, "bench", t0, wall_us() - t0);
+    tracer.span(name, "bench", trace, tracer.new_id(), /*parent=*/0, t0,
+                wall_us() - t0);
   };
 
   bench::header("run-to-completion batch data-plane engine");

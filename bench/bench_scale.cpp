@@ -19,7 +19,7 @@
 //   * compiled bytes/prefix <= kSmokeBytesPerPrefixCeil,
 //   * sealed/trie speedup >= kSmokeSealedSpeedupFloor.
 //
-// Flags: [--smoke] [--scenario FILE] [--trace FILE] [--metrics FILE]
+// Flags: [--smoke] [--scenario FILE] [--metrics FILE]
 //        [OUTPUT.json]
 //   --smoke          downsampled topology + workload, gates enforced
 //   --scenario FILE  replace the built-in scale_soak spec (scale.* keys

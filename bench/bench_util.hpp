@@ -14,7 +14,8 @@
 #include "scenario/spec.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/span.hpp"
+#include "telemetry/trace_merge.hpp"
 
 namespace discs::bench {
 
@@ -127,7 +128,8 @@ class JsonWriter {
 /// --smoke shrinks workloads for the CI sanity leg; --scenario replaces the
 /// bench's built-in workload spec with a .scn file (scenario-driven benches
 /// only); --trace/--metrics name the Chrome-trace and metrics-snapshot side
-/// files.
+/// files. --trace is only for benches that record a trace (finish() fails
+/// the run otherwise).
 struct Args {
   bool smoke = false;
   std::string scenario_path;  // empty = the bench's built-in spec
@@ -204,12 +206,25 @@ inline JsonWriter make_writer(const std::string& bench_name, const Args& args) {
   return json;
 }
 
+/// The intermediate shard a bench's SpanTracer streams to under --trace.
+inline std::string trace_shard_path(const Args& args) {
+  return args.trace_path + ".shard.jsonl";
+}
+
+/// Opens `tracer`'s shard when --trace was given; without the flag the
+/// tracer stays closed and its records go nowhere.
+inline void open_trace(const Args& args, telemetry::SpanTracer& tracer) {
+  if (!args.trace_path.empty()) tracer.open(trace_shard_path(args));
+}
+
 /// Writes the results document and, when the flags asked for them, the
 /// metrics snapshot (--metrics, scraped from `registry` or the global one)
-/// and the Chrome trace (--trace, from `tracer`).
+/// and the Chrome trace (--trace, rendered from the shard `tracer` streamed
+/// after open_trace). --trace on a bench that passes no tracer is an error,
+/// not a silent no-op.
 inline bool finish(const JsonWriter& json, const Args& args,
                    telemetry::MetricsRegistry* registry = nullptr,
-                   const telemetry::SimTracer* tracer = nullptr) {
+                   const telemetry::SpanTracer* tracer = nullptr) {
   bool ok = json.write(args.output);
   if (!args.metrics_path.empty()) {
     ok = telemetry::write_metrics_json(
@@ -218,8 +233,15 @@ inline bool finish(const JsonWriter& json, const Args& args,
              args.metrics_path) &&
          ok;
   }
-  if (!args.trace_path.empty() && tracer != nullptr) {
-    ok = tracer->write(args.trace_path) && ok;
+  if (!args.trace_path.empty()) {
+    if (tracer == nullptr) {
+      std::fprintf(stderr, "--trace %s: this bench records no trace\n",
+                   args.trace_path.c_str());
+      return false;
+    }
+    const std::string shard = trace_shard_path(args);
+    ok = telemetry::write_chrome_trace({shard}, args.trace_path) && ok;
+    std::remove(shard.c_str());
   }
   return ok;
 }

@@ -13,6 +13,10 @@ constexpr std::uint64_t kOutcomeDeliveryFailure = 2;
 constexpr std::uint64_t kOutcomeSuperseded = 3;
 constexpr std::uint64_t kOutcomeImplicit = 4;
 
+// Codes carried in the "kind" arg of detector_trigger trace records.
+constexpr std::uint64_t kTriggerRate = 0;
+constexpr std::uint64_t kTriggerAlarm = 1;
+
 /// The per-direction data-plane operations each invokable function expands
 /// into, split by executing side (Table I: bold = peer side).
 struct FunctionExpansion {
@@ -122,20 +126,14 @@ void Controller::discover(const DiscsAd& ad) {
     if (info.state != PeerState::kDiscovered) return;
     info.state = PeerState::kRequested;
     ++stats_.peering_requests_sent;
-    if (tracer_ != nullptr) {
-      tracer_->async_begin("peering", "control", peering_span_id(target),
-                           loop_->now(), config_.as,
-                           {{"peer", static_cast<std::uint64_t>(target)}});
-    }
     // Distributed tracing: the peering handshake roots a trace here; the
     // request span stays open until the accept/reject (or delivery failure)
     // closes it, and its context rides the PeeringRequest to the peer.
     std::optional<telemetry::TraceContext> ctx;
     if (spans_ != nullptr) {
-      const std::uint64_t trace = spans_->new_id();
-      const std::uint64_t span = spans_->new_id();
-      info.peering_span = OpenSpan{trace, span, /*parent=*/0, loop_->now()};
-      ctx = telemetry::TraceContext{trace, span, telemetry::wall_clock_us()};
+      ctx = new_trace();
+      info.peering_span = OpenSpan{ctx->trace_id, ctx->parent_span_id,
+                                   /*parent=*/0, loop_->now()};
     }
     link_.send_reliable(target, PeeringRequest{}, AckToken::kPeeringRequest,
                         ctx);
@@ -162,11 +160,6 @@ void Controller::handle(const Envelope& envelope) {
         } else if constexpr (std::is_same_v<T, PeeringReject>) {
           link_.settle_token(envelope.from, AckToken::kPeeringRequest);
           auto& info = peers_[envelope.from];
-          if (tracer_ != nullptr && info.state == PeerState::kRequested) {
-            tracer_->async_end("peering", "control",
-                               peering_span_id(envelope.from), loop_->now(),
-                               config_.as, {{"outcome", "rejected"}});
-          }
           close_open_span(info.peering_span, "peering", envelope.from,
                           kOutcomeRejected);
           info.state = PeerState::kRejected;
@@ -231,10 +224,6 @@ void Controller::handle_peering_accept(AsNumber from) {
   auto& info = peers_[from];
   if (info.state == PeerState::kPeered) return;  // duplicate accept
   info.state = PeerState::kPeered;
-  if (tracer_ != nullptr) {
-    tracer_->async_end("peering", "control", peering_span_id(from),
-                       loop_->now(), config_.as, {{"outcome", "peered"}});
-  }
   close_open_span(info.peering_span, "peering", from, kOutcomeOk);
   negotiate_key(from, /*rekey=*/false);
 }
@@ -247,12 +236,6 @@ void Controller::negotiate_key(AsNumber peer, bool rekey) {
   if (rekey) {
     // Two-phase: keep stamping with the old key until the peer acks.
     info.pending_key = key;
-    if (tracer_ != nullptr) {
-      tracer_->async_begin("rekey", "control", rekey_span_id(peer),
-                           loop_->now(), config_.as,
-                           {{"peer", static_cast<std::uint64_t>(peer)},
-                            {"serial", info.tx_key_serial}});
-    }
   } else {
     TableTransaction txn;
     txn.set_stamp_key(peer, key, /*retain_previous=*/false);
@@ -262,23 +245,16 @@ void Controller::negotiate_key(AsNumber peer, bool rekey) {
   // trace; a locally initiated round (re-key timer, first key after an
   // untraced peer's message) roots a fresh one. A re-key's request span
   // stays open until the ack commits it.
-  std::optional<telemetry::TraceContext> ctx = handler_ctx(
-      rekey ? "rekey_key_install" : "key_install",
-      {{"peer", static_cast<std::uint64_t>(peer)},
-       {"serial", info.tx_key_serial}});
-  if (!ctx && spans_ != nullptr) {
-    const std::uint64_t trace = spans_->new_id();
-    const std::uint64_t span = spans_->new_id();
-    ctx = telemetry::TraceContext{trace, span, telemetry::wall_clock_us()};
-    if (rekey) {
-      close_open_span(info.rekey_span, "rekey", peer, kOutcomeSuperseded);
-      info.rekey_span = OpenSpan{trace, span, /*parent=*/0, loop_->now()};
-    } else {
-      spans_->instant("key_install", "control", trace, span, /*parent=*/0,
-                      loop_->now(),
-                      {{"peer", static_cast<std::uint64_t>(peer)},
-                       {"serial", info.tx_key_serial}});
-    }
+  std::optional<telemetry::TraceContext> ctx;
+  if (rx_ctx_ || !rekey) {
+    ctx = trace_record(rekey ? "rekey_key_install" : "key_install",
+                       {{"peer", static_cast<std::uint64_t>(peer)},
+                        {"serial", info.tx_key_serial}});
+  } else if (spans_ != nullptr) {
+    ctx = new_trace();
+    close_open_span(info.rekey_span, "rekey", peer, kOutcomeSuperseded);
+    info.rekey_span = OpenSpan{ctx->trace_id, ctx->parent_span_id,
+                               /*parent=*/0, loop_->now()};
   }
   link_.send_reliable(peer, KeyInstall{key, info.tx_key_serial, rekey},
                       AckToken::kKeyInstall, ctx);
@@ -293,11 +269,6 @@ void Controller::handle_key_install(AsNumber from, const KeyInstall& msg) {
     // though the PeeringAccept was lost or is still in flight behind it.
     link_.settle_token(from, AckToken::kPeeringRequest);
     info.state = PeerState::kPeered;
-    if (tracer_ != nullptr) {
-      tracer_->async_end("peering", "control", peering_span_id(from),
-                         loop_->now(), config_.as,
-                         {{"outcome", "peered_implicit"}});
-    }
     close_open_span(info.peering_span, "peering", from, kOutcomeImplicit);
     negotiate_key(from, /*rekey=*/false);
   }
@@ -342,10 +313,6 @@ void Controller::handle_key_install_ack(AsNumber from, const KeyInstallAck& msg)
     track_delivery(from, con_rou_->submit(std::move(commit)));
     it->second.pending_key.reset();
     ++stats_.rekeys_completed;
-    if (tracer_ != nullptr) {
-      tracer_->async_end("rekey", "control", rekey_span_id(from), loop_->now(),
-                         config_.as);
-    }
     close_open_span(it->second.rekey_span, "rekey", from, kOutcomeOk);
     // Third phase: tell the verifier we switched, releasing its grace key.
     link_.send_reliable(from, RekeyComplete{msg.serial},
@@ -368,22 +335,15 @@ void Controller::handle_rekey_complete(AsNumber from, const RekeyComplete& msg) 
 }
 
 void Controller::handle_delivery_failure(AsNumber peer, AckToken token) {
-  if (tracer_ != nullptr) {
-    tracer_->instant("delivery_failure", "control", loop_->now(), config_.as,
-                     {{"peer", static_cast<std::uint64_t>(peer)},
-                      {"token", static_cast<int>(token)}});
-  }
+  trace_record("delivery_failure",
+               {{"peer", static_cast<std::uint64_t>(peer)},
+                {"token", static_cast<std::uint64_t>(token)}});
   const auto it = peers_.find(peer);
   if (it == peers_.end()) return;  // e.g. an abandoned teardown notice
   if (token == AckToken::kPeeringRequest &&
       it->second.state == PeerState::kRequested) {
     // Half-open peering: fall back so a later Ad (or re-discovery) retries.
     it->second.state = PeerState::kDiscovered;
-    if (tracer_ != nullptr) {
-      tracer_->async_end("peering", "control", peering_span_id(peer),
-                         loop_->now(), config_.as,
-                         {{"outcome", "delivery_failure"}});
-    }
     close_open_span(it->second.peering_span, "peering", peer,
                     kOutcomeDeliveryFailure);
   }
@@ -421,26 +381,18 @@ std::size_t Controller::invoke(const std::vector<InvocationTriple>& triples,
   // Distributed tracing: one invocation = one trace. The root span covers
   // the victim-side fan-out; each peer's request gets a child span that the
   // peer's Accept/Reject (or a delivery failure) closes, and its context —
-  // with the wall-clock origin stamp the peers measure time-to-protection
-  // against — rides the InvocationRequest and all its retransmits.
+  // with the origin stamp the peers measure time-to-protection against —
+  // rides the InvocationRequest and all its retransmits. Each triple's
+  // defense window is a child span lasting the window's duration.
   const SimTime t0 = loop_->now();
-  std::uint64_t trace = 0;
-  std::uint64_t root = 0;
-  std::uint64_t origin = 0;
-  if (spans_ != nullptr) {
-    trace = spans_->new_id();
-    root = spans_->new_id();
-    origin = telemetry::wall_clock_us();
-  }
+  std::optional<telemetry::TraceContext> root;
+  if (spans_ != nullptr) root = new_trace();
   for (const auto& triple : triples) {
     execute_victim_functions(triple);
-    if (tracer_ != nullptr) {
-      tracer_->complete(
-          "invocation_window", "control", loop_->now(), triple.duration,
-          config_.as,
-          {{"functions", static_cast<std::uint64_t>(triple.functions)},
-           {"alarm_mode", alarm_mode ? "true" : "false"}});
-    }
+    trace_record("invocation_window",
+                 {{"functions", static_cast<std::uint64_t>(triple.functions)},
+                  {"alarm_mode", alarm_mode ? 1u : 0u}},
+                 triple.duration, root);
   }
   set_alarm_mode_everywhere(alarm_mode);
   std::size_t asked = 0;
@@ -448,10 +400,12 @@ std::size_t Controller::invoke(const std::vector<InvocationTriple>& triples,
     if (info.state != PeerState::kPeered) continue;
     ++stats_.invocations_sent;
     std::optional<telemetry::TraceContext> ctx;
-    if (spans_ != nullptr) {
+    if (root) {
       close_open_span(info.invoke_span, "invoke_peer", as, kOutcomeSuperseded);
-      info.invoke_span = OpenSpan{trace, spans_->new_id(), root, t0};
-      ctx = telemetry::TraceContext{trace, info.invoke_span->span, origin};
+      info.invoke_span = OpenSpan{root->trace_id, spans_->new_id(),
+                                  root->parent_span_id, t0};
+      ctx = telemetry::TraceContext{root->trace_id, info.invoke_span->span,
+                                    root->origin_ts_us};
     }
     // Reliable with no token: settled by the DeliveryAck or by the
     // Accept/Reject echoing our sequence number, whichever arrives first.
@@ -459,9 +413,9 @@ std::size_t Controller::invoke(const std::vector<InvocationTriple>& triples,
                         AckToken::kNone, ctx);
     ++asked;
   }
-  if (spans_ != nullptr) {
-    spans_->span("invocation", "control", trace, root, /*parent=*/0, t0,
-                 loop_->now() - t0,
+  if (root) {
+    spans_->span("invocation", "control", root->trace_id,
+                 root->parent_span_id, /*parent=*/0, t0, loop_->now() - t0,
                  {{"peers", asked},
                   {"triples", triples.size()},
                   {"alarm_mode", alarm_mode ? 1u : 0u}});
@@ -558,7 +512,7 @@ void Controller::execute_peer_functions(AsNumber victim,
     const telemetry::TraceContext ctx = *rx_ctx_;
     hook = [this, ctx, exec_span, victim](TableEpoch epoch, SimTime now) {
       std::uint64_t ttp_us = 0;
-      if (const std::uint64_t now_us = telemetry::wall_clock_us();
+      if (const std::uint64_t now_us = network_->clock_us();
           ctx.origin_ts_us != 0 && now_us > ctx.origin_ts_us) {
         ttp_us = now_us - ctx.origin_ts_us;
       }
@@ -660,10 +614,7 @@ void Controller::handle_alarm_quit(AsNumber from) {
 }
 
 void Controller::request_drop_mode() {
-  if (tracer_ != nullptr) {
-    tracer_->instant("drop_mode_requested", "control", loop_->now(),
-                     config_.as);
-  }
+  trace_record("drop_mode_requested");
   set_alarm_mode_everywhere(false);
   for (const auto& [as, info] : peers_) {
     if (info.state == PeerState::kPeered) {
@@ -684,10 +635,7 @@ void Controller::enable_auto_defense(std::size_t threshold_packets,
     const auto overwhelmed = detector_->observe(dst, now);
     if (!overwhelmed) return;
     ++stats_.detector_triggers;
-    if (tracer_ != nullptr) {
-      tracer_->instant("detector_trigger", "control", now, config_.as,
-                       {{"kind", "rate"}});
-    }
+    trace_record("detector_trigger", {{"kind", kTriggerRate}});
     // d-DDoS playbook: the prefix's inbound rate exploded, so invoke
     // DP+CDP at every peer for it.
     invoke_ddos_defense(*overwhelmed, /*spoofed_source=*/false);
@@ -705,21 +653,16 @@ void Controller::on_alarm_sample(const AlarmSample& sample) {
   std::erase_if(window, [cutoff](SimTime t) { return t < cutoff; });
   if (window.size() >= config_.detect_threshold) {
     ++stats_.detector_triggers;
-    if (tracer_ != nullptr) {
-      tracer_->instant(
-          "detector_trigger", "control", sample.time, config_.as,
-          {{"kind", "alarm"},
-           {"source_as", static_cast<std::uint64_t>(sample.source_as)}});
-    }
+    trace_record("detector_trigger",
+                 {{"kind", kTriggerAlarm},
+                  {"source_as", static_cast<std::uint64_t>(sample.source_as)}});
     request_drop_mode();
   }
 }
 
 void Controller::forget_peer(AsNumber peer) {
-  if (tracer_ != nullptr) {
-    tracer_->instant("peering_teardown", "control", loop_->now(), config_.as,
-                     {{"peer", static_cast<std::uint64_t>(peer)}});
-  }
+  trace_record("peering_teardown",
+               {{"peer", static_cast<std::uint64_t>(peer)}});
   // Withdraw whatever is still riding the con-rou channel for this peer
   // (key installs, grace-drops, invocation installs it requested), then
   // revoke its keys immediately — teardown is a security action and must
@@ -804,8 +747,9 @@ void Controller::bind_metrics(telemetry::MetricsRegistry& registry) {
       {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0,
        2.5, 5.0, 10.0, 30.0},
       "Seconds from the victim emitting an invocation (trace-context origin "
-      "wall-clock stamp) to the filter-install transaction applying at this "
-      "peer's engine",
+      "stamp on the transport's clock: simulated time in a simulated world, "
+      "wall time across processes) to the filter-install transaction "
+      "applying at this peer's engine",
       labels);
   metrics_collector_ = registry.add_collector(
       [this, labels](std::vector<telemetry::Sample>& out) {
@@ -858,14 +802,32 @@ void Controller::set_span_tracer(telemetry::SpanTracer* spans) {
   link_.set_span_tracer(spans);
 }
 
-std::optional<telemetry::TraceContext> Controller::handler_ctx(
-    const char* name, telemetry::SpanTracer::SpanArgs args) {
-  if (spans_ == nullptr || !rx_ctx_) return std::nullopt;
-  const std::uint64_t span = spans_->new_id();
-  spans_->instant(name, "control", rx_ctx_->trace_id, span,
-                  rx_ctx_->parent_span_id, loop_->now(), args);
-  return telemetry::TraceContext{rx_ctx_->trace_id, span,
-                                 rx_ctx_->origin_ts_us};
+telemetry::TraceContext Controller::new_trace() {
+  const std::uint64_t trace = spans_->new_id();
+  return {trace, spans_->new_id(), network_->clock_us()};
+}
+
+std::optional<telemetry::TraceContext> Controller::trace_record(
+    const char* name, const telemetry::SpanTracer::SpanArgs& args,
+    std::optional<SimTime> dur,
+    const std::optional<telemetry::TraceContext>& parent) {
+  if (spans_ == nullptr) return std::nullopt;
+  telemetry::TraceContext ctx;
+  std::uint64_t parent_span = 0;
+  if (const auto& within = parent ? parent : rx_ctx_) {
+    ctx = {within->trace_id, spans_->new_id(), within->origin_ts_us};
+    parent_span = within->parent_span_id;
+  } else {
+    ctx = new_trace();
+  }
+  if (dur) {
+    spans_->span(name, "control", ctx.trace_id, ctx.parent_span_id,
+                 parent_span, loop_->now(), *dur, args);
+  } else {
+    spans_->instant(name, "control", ctx.trace_id, ctx.parent_span_id,
+                    parent_span, loop_->now(), args);
+  }
+  return ctx;
 }
 
 void Controller::close_open_span(std::optional<OpenSpan>& open,
@@ -879,15 +841,6 @@ void Controller::close_open_span(std::optional<OpenSpan>& open,
                   {"outcome", outcome}});
   }
   open.reset();
-}
-
-void Controller::set_tracer(telemetry::SimTracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    tracer_->set_track_name(config_.as, "AS " + std::to_string(config_.as) +
-                                            " (" + config_.controller_name +
-                                            ")");
-  }
 }
 
 void Controller::enable_flow_reports(std::size_t capacity) {

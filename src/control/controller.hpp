@@ -33,7 +33,6 @@
 #include "dataplane/router.hpp"
 #include "telemetry/ring.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 #include "topology/dataset.hpp"
 
 namespace discs {
@@ -247,23 +246,20 @@ class Controller {
   void unbind_metrics();
   [[nodiscard]] bool metrics_bound() const { return metrics_ != nullptr; }
 
-  /// Attaches a sim-time tracer (nullptr detaches): peering negotiations
-  /// and three-phase re-keys become async spans, invocation windows become
-  /// complete events with their §IV-E duration, and delivery failures /
-  /// detector triggers / drop-mode requests / teardowns become instants.
-  /// All events land on track tid = our AS number. The tracer must outlive
-  /// the controller or be detached first.
-  void set_tracer(telemetry::SimTracer* tracer);
-  [[nodiscard]] telemetry::SimTracer* tracer() const { return tracer_; }
-
-  /// Attaches the distributed-tracing shard writer (nullptr detaches) to
-  /// this controller AND its ReliableLink. With a tracer attached, every
-  /// protocol operation this controller initiates roots a trace whose
-  /// context rides the DCS2 envelopes (and their retransmissions) to the
-  /// peers; operations triggered by a context-carrying message join the
-  /// sender's trace instead. Without one, no context is ever attached and
-  /// the wire bytes are identical to the pre-tracing format. The tracer
-  /// must outlive the controller or be detached first.
+  /// Attaches the tracer (nullptr detaches) to this controller AND its
+  /// ReliableLink; it is the controller's only trace sink. With a tracer
+  /// attached, every protocol operation this controller initiates roots a
+  /// trace whose context rides the DCS2 envelopes (and their
+  /// retransmissions) to the peers; operations triggered by a
+  /// context-carrying message join the sender's trace instead. Peering
+  /// negotiations, three-phase re-keys and per-peer invocation requests
+  /// become spans closed with an outcome; each invocation window becomes a
+  /// span with its §IV-E duration; delivery failures, detector triggers,
+  /// drop-mode requests and teardowns become instants. Without a tracer no
+  /// context is ever attached and the wire bytes are identical to the
+  /// pre-tracing format. The tracer must outlive the controller or be
+  /// detached first. Turn its shards into a Chrome trace with
+  /// telemetry::write_chrome_trace (or tools/discs_trace_merge).
   void set_span_tracer(telemetry::SpanTracer* spans);
   [[nodiscard]] telemetry::SpanTracer* span_tracer() const { return spans_; }
 
@@ -343,24 +339,28 @@ class Controller {
 
   void schedule_rekey_timer();
 
-  /// Async-span id pairing begin/end across controllers tracing into one
-  /// tracer: our AS in the high half, the peer in the low half. Re-key
-  /// spans flip the top bit so they never pair with a peering span.
-  [[nodiscard]] std::uint64_t peering_span_id(AsNumber peer) const {
-    return (static_cast<std::uint64_t>(config_.as) << 32) | peer;
-  }
-  [[nodiscard]] std::uint64_t rekey_span_id(AsNumber peer) const {
-    return peering_span_id(peer) | (1ull << 63);
-  }
+  /// Roots a fresh trace (a tracer must be attached): new trace and span
+  /// ids plus the origin stamp, taken on the transport's clock.
+  telemetry::TraceContext new_trace();
 
-  /// Distributed tracing: allocates a handler span joined to the trace of
-  /// the envelope currently being handled, emits it as an instant named
-  /// `name`, and returns the context that responses (or follow-on
-  /// requests) should carry. nullopt when no tracer is attached or the
-  /// incoming envelope carried no context — traces are only ever rooted
-  /// where an operation starts, never grafted on mid-protocol.
+  /// The one emit path for controller trace records: emits `name` as a
+  /// span of `dur` starting now (an instant when `dur` is empty) and
+  /// returns the context a message sent on its behalf should carry. The
+  /// record hangs under `parent` when given, else joins the trace of the
+  /// envelope currently being handled, else roots a fresh trace. nullopt
+  /// (and nothing emitted) when no tracer is attached.
+  std::optional<telemetry::TraceContext> trace_record(
+      const char* name, const telemetry::SpanTracer::SpanArgs& args = {},
+      std::optional<SimTime> dur = std::nullopt,
+      const std::optional<telemetry::TraceContext>& parent = std::nullopt);
+
+  /// trace_record for a handler's response: nullopt outside a handler or
+  /// when the incoming envelope carried no context — traces are only ever
+  /// rooted where an operation starts, never grafted on mid-protocol.
   std::optional<telemetry::TraceContext> handler_ctx(
-      const char* name, telemetry::SpanTracer::SpanArgs args = {});
+      const char* name, const telemetry::SpanTracer::SpanArgs& args = {}) {
+    return rx_ctx_ ? trace_record(name, args) : std::nullopt;
+  }
 
   /// Emits `open` as a completed span record named `name` with an outcome
   /// arg (see kOutcome* in controller.cpp) and clears it. No-op when the
@@ -396,7 +396,6 @@ class Controller {
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::MetricsRegistry::CollectorId metrics_collector_ = 0;
-  telemetry::SimTracer* tracer_ = nullptr;
   std::unique_ptr<telemetry::RingBuffer<FlowReport>> flow_ring_;
 
   telemetry::SpanTracer* spans_ = nullptr;
@@ -405,8 +404,8 @@ class Controller {
   /// outgoing messages inherit it so one operation stays one trace.
   std::optional<telemetry::TraceContext> rx_ctx_;
   /// Bound by bind_metrics: seconds from the victim's invocation emission
-  /// (trace-context origin timestamp) to the filter-install transaction
-  /// applying at this peer's engine.
+  /// (trace-context origin timestamp, on the transport's clock) to the
+  /// filter-install transaction applying at this peer's engine.
   telemetry::Histogram* ttp_seconds_ = nullptr;
 };
 

@@ -123,6 +123,11 @@ class ConConNetwork : public Transport {
   /// and ack flag travel with the message; retransmissions reuse them).
   void send(Envelope envelope) override;
 
+  /// Simulated time: the event loop's clock.
+  [[nodiscard]] std::uint64_t clock_us() const override {
+    return loop_->now();
+  }
+
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] const FaultStats& fault_stats() const { return fault_stats_; }
 

@@ -42,10 +42,11 @@
 
 namespace discs::telemetry {
 
-/// CLOCK_REALTIME now, in microseconds — the scale TraceContext's
-/// origin_ts_us uses. Wall (not steady) clock on purpose: it is the only
-/// clock two unrelated processes share, which is what makes the live
-/// time-to-protection histogram computable at the peer.
+/// CLOCK_REALTIME now, in microseconds: the shard meta anchor, and the
+/// clock UdpTransport stamps TraceContext's origin_ts_us with. Wall (not
+/// steady) clock on purpose: it is the only clock two unrelated processes
+/// share, which is what makes the live time-to-protection histogram
+/// computable at the peer.
 [[nodiscard]] std::uint64_t wall_clock_us();
 
 class SpanTracer {

@@ -2,8 +2,8 @@
 // a control-plane envelope across process (and host) boundaries as an
 // OPTIONAL DCS2 extension — see control/codec.hpp for the wire layout.
 // Carried only when a SpanTracer is attached to the sending controller;
-// simulated worlds and tracing-disabled nodes never set it, so their wire
-// bytes (and behaviour) are identical to the pre-extension format.
+// tracing-disabled nodes never set it, so their wire bytes (and behaviour)
+// are identical to the pre-extension format.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +17,13 @@ namespace discs::telemetry {
 ///  * `parent_span_id` is the span the receiver should parent its own
 ///    work under — for a request it is the sender-side span covering that
 ///    message; for a response it is the handler span that produced it.
-///  * `origin_ts_us` is the CLOCK_REALTIME microsecond timestamp at the
-///    trace root's emission (the victim's clock for invocations). Peers
-///    subtract it from their own wall clock to produce the live
-///    time-to-protection histogram without waiting for a post-mortem
-///    merge; cross-host accuracy is NTP-grade, same-host is exact.
+///  * `origin_ts_us` is the microsecond timestamp at the trace root's
+///    emission, on the sender's Transport::clock_us() (the victim's clock
+///    for invocations): simulated time in a simulated world, CLOCK_REALTIME
+///    over real sockets. Peers subtract it from their own transport clock
+///    to produce the live time-to-protection histogram without waiting for
+///    a post-mortem merge; cross-host accuracy is NTP-grade, same-host and
+///    simulated are exact. 0 reads as "no origin" (no TTP sample).
 ///
 /// Ids are never 0 when set by a tracer (0 reads as "no parent" in the
 /// merged tree), but the codec accepts any value — the context is

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <limits>
 
+#include "telemetry/export.hpp"
+
 namespace discs::telemetry {
 namespace {
 
@@ -409,6 +411,25 @@ std::string merge_to_chrome_trace(
 
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
+}
+
+bool write_chrome_trace(const std::vector<std::string>& shard_paths,
+                        const std::string& out_path) {
+  std::vector<TraceShard> shards(shard_paths.size());
+  for (std::size_t i = 0; i < shard_paths.size(); ++i) {
+    if (!load_trace_shard(shard_paths[i], shards[i])) {
+      std::fprintf(stderr, "trace: cannot open shard %s\n",
+                   shard_paths[i].c_str());
+      return false;
+    }
+  }
+  if (!write_text_file(out_path,
+                       merge_to_chrome_trace(shards, align_clocks(shards)))) {
+    return false;
+  }
+  std::printf("  # trace: wrote %s (%zu shards)\n", out_path.c_str(),
+              shards.size());
+  return true;
 }
 
 std::vector<TraceSummary> summarize_traces(

@@ -78,6 +78,13 @@ std::string merge_to_chrome_trace(
     const std::vector<TraceShard>& shards,
     const std::map<std::uint32_t, std::int64_t>& offsets);
 
+/// The whole path above in one call, for in-process harnesses that trace
+/// through SpanTracers: loads `shard_paths`, aligns their clocks and writes
+/// the merged Chrome trace to `out_path` (noted on stdout). False, with a
+/// note, when a shard will not open or the file cannot be written.
+bool write_chrome_trace(const std::vector<std::string>& shard_paths,
+                        const std::string& out_path);
+
 /// Per-trace rollup used by the CLI to verify a run produced a complete
 /// causal tree (e.g. one invocation spanning all five demo nodes).
 struct TraceSummary {

@@ -24,6 +24,7 @@
 //    back concurrently.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "control/messages.hpp"
@@ -43,6 +44,12 @@ class Transport {
   /// Sends a fully formed envelope (sequence number and ack flag travel
   /// with the message; retransmissions reuse them verbatim).
   virtual void send(Envelope envelope) = 0;
+
+  /// The clock this world runs on, in microseconds: simulated time for the
+  /// in-process bus, the wall clock for real sockets. Trace roots stamp
+  /// their origin with it, so time-to-protection reads modeled delay in a
+  /// simulation and real delay across processes.
+  [[nodiscard]] virtual std::uint64_t clock_us() const = 0;
 };
 
 }  // namespace discs

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "control/codec.hpp"
+#include "telemetry/span.hpp"
 
 namespace discs {
 namespace {
@@ -104,6 +105,10 @@ void UdpTransport::detach(AsNumber as) {
   driver_->unwatch_fd(it->second.fd);
   ::close(it->second.fd);
   sockets_.erase(it);
+}
+
+std::uint64_t UdpTransport::clock_us() const {
+  return telemetry::wall_clock_us();
 }
 
 void UdpTransport::send(Envelope envelope) {

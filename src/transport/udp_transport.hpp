@@ -80,6 +80,10 @@ class UdpTransport : public Transport {
   /// All failure modes are silent-by-contract and counted in stats().
   void send(Envelope envelope) override;
 
+  /// The wall clock (telemetry::wall_clock_us): the only clock two
+  /// unrelated processes share.
+  [[nodiscard]] std::uint64_t clock_us() const override;
+
   /// Replaces the loss shim (resets its RNG stream from shim.seed).
   void set_loss(LossShim shim);
   /// Blocks/unblocks all traffic between `a` and `b` at the shim, both

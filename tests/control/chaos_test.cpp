@@ -21,7 +21,12 @@
 // (defining our own main keeps gtest_main's out of the link):
 //   --trace FILE    write a Chrome trace_event JSON of every trial's
 //                   control-plane activity (peering/re-key spans,
-//                   invocation windows, delivery failures)
+//                   invocation windows, delivery failures), one process
+//                   row per AS. Each AS traces through one SpanTracer
+//                   that outlives every trial world, so trace contexts
+//                   ride the simulated wire as they do under any tracer;
+//                   the per-AS shards (FILE.as<N>.jsonl) are merged into
+//                   FILE at exit and removed.
 //   --metrics FILE  write a metrics JSON snapshot; each ChaosWorld folds
 //                   its channel/fault/reliability counters into the global
 //                   registry at teardown
@@ -31,6 +36,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -40,13 +47,29 @@
 #include "control/controller.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/span.hpp"
+#include "telemetry/trace_merge.hpp"
 
 namespace {
 
-// Set from main before RUN_ALL_TESTS; the tracer outlives every world.
-discs::telemetry::SimTracer g_tracer;
-bool g_trace_enabled = false;
+// Set from main before RUN_ALL_TESTS (empty = no tracing). One tracer per
+// AS, created on first use; all of them outlive every world.
+std::string g_trace_path;
+std::map<discs::AsNumber, std::unique_ptr<discs::telemetry::SpanTracer>>
+    g_tracers;
+
+std::string shard_path(discs::AsNumber as) {
+  return g_trace_path + ".as" + std::to_string(as) + ".jsonl";
+}
+
+discs::telemetry::SpanTracer* tracer_for(discs::AsNumber as) {
+  auto& tracer = g_tracers[as];
+  if (tracer == nullptr) {
+    tracer = std::make_unique<discs::telemetry::SpanTracer>(as);
+    if (!tracer->open(shard_path(as))) ADD_FAILURE() << shard_path(as);
+  }
+  return tracer.get();
+}
 
 }  // namespace
 
@@ -94,9 +117,10 @@ struct ChaosWorld {
     }
     runner.emplace(std::move(*parsed));
     runner->build();
-    if (g_trace_enabled) {
-      // set_tracer names each controller's track itself.
-      for (Controller* c : runner->controllers()) c->set_tracer(&g_tracer);
+    if (!g_trace_path.empty()) {
+      for (Controller* c : runner->controllers()) {
+        c->set_span_tracer(tracer_for(c->as_number()));
+      }
     }
   }
 
@@ -313,13 +337,12 @@ TEST(ChaosTest, LosslessFaultPlanReproducesChannelStatsExactly) {
 /// files as JSON, so a write failure must fail the run even when every
 /// test passed.
 int main(int argc, char** argv) {
-  std::string trace_path;
   std::string metrics_path;
   std::vector<char*> gtest_args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
+      g_trace_path = argv[++i];
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else {
@@ -329,17 +352,14 @@ int main(int argc, char** argv) {
   int gtest_argc = static_cast<int>(gtest_args.size());
   ::testing::InitGoogleTest(&gtest_argc, gtest_args.data());
 
-  if (!trace_path.empty()) {
-    g_trace_enabled = true;
-    g_tracer.set_process_name("chaos_test");
-  }
   const int rc = RUN_ALL_TESTS();
 
   bool io_ok = true;
-  if (!trace_path.empty() && !g_tracer.write(trace_path)) {
-    std::fprintf(stderr, "chaos_test: cannot write trace to %s\n",
-                 trace_path.c_str());
-    io_ok = false;
+  if (!g_trace_path.empty()) {
+    std::vector<std::string> shards;
+    for (const auto& [as, tracer] : g_tracers) shards.push_back(shard_path(as));
+    io_ok = discs::telemetry::write_chrome_trace(shards, g_trace_path);
+    for (const std::string& shard : shards) std::remove(shard.c_str());
   }
   if (!metrics_path.empty() &&
       !discs::telemetry::write_metrics_json(

@@ -23,6 +23,7 @@ struct NullTransport final : Transport {
   void attach(AsNumber, Handler) override {}
   void detach(AsNumber) override {}
   void send(Envelope envelope) override { sent.push_back(std::move(envelope)); }
+  std::uint64_t clock_us() const override { return 0; }
 };
 
 /// A dedup-neutral message: PeeringRequest deliberately resets the

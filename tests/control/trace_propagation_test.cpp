@@ -1,8 +1,11 @@
 // End-to-end distributed-tracing tests over the simulated control plane:
 // one invocation at the victim must yield a single causal tree whose
 // records span every participating controller's shard, populate the
-// time-to-protection histogram at the peers, and — when the sender has no
-// tracer — put no context on the wire at all.
+// time-to-protection histogram at the peers (on the simulated clock: the
+// modeled con-con + con-rou delay, not host time), and — when the sender
+// has no tracer — put no context on the wire at all. Every controller event
+// (delivery failures, detector triggers, drop-mode requests, teardowns,
+// invocation windows) lands in the shard, the controller's only sink.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -40,8 +43,8 @@ class TracePropagationTest : public ::testing::Test {
     for (const std::string& path : shard_paths_) std::remove(path.c_str());
   }
 
-  std::unique_ptr<Controller> make_controller(AsNumber as) {
-    ControllerConfig cfg;
+  std::unique_ptr<Controller> make_controller(AsNumber as,
+                                              ControllerConfig cfg = {}) {
     cfg.as = as;
     cfg.seed = as * 1000 + 7;
     return std::make_unique<Controller>(cfg, loop_, net_, rpki_);
@@ -87,6 +90,34 @@ class TracePropagationTest : public ::testing::Test {
       }
     }
     return total;
+  }
+
+  double ttp_sum(const telemetry::MetricsRegistry& registry) {
+    double total = 0;
+    for (const auto& m : registry.snapshot().metrics) {
+      if (m.name == "discs_time_to_protection_seconds") {
+        total += m.histogram.sum;
+      }
+    }
+    return total;
+  }
+
+  /// The span/instant records named `name` in `shard`.
+  static std::vector<ShardRecord> named(const TraceShard& shard,
+                                        const std::string& name) {
+    std::vector<ShardRecord> out;
+    for (const auto& r : shard.records) {
+      if (r.name == name) out.push_back(r);
+    }
+    return out;
+  }
+
+  static std::uint64_t arg(const ShardRecord& r, const std::string& key) {
+    for (const auto& [k, v] : r.args) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << r.name << " has no arg " << key;
+    return 0;
   }
 
   InternetDataset rpki_;
@@ -188,6 +219,109 @@ TEST_F(TracePropagationTest, UntracedSenderPutsNoContextOnTheWire) {
   }
 
   c2->unbind_metrics();
+}
+
+TEST_F(TracePropagationTest, TimeToProtectionReadsTheSimulatedClock) {
+  // 10 ms con-con latency (the fixture's network) + 5 ms con-rou latency.
+  // The invocation follows peering, so the TLS sessions are live and no
+  // handshake delay applies: protection lands exactly 15 ms of simulated
+  // time after the victim emits the request, at both peers.
+  ControllerConfig cfg;
+  cfg.con_rou_latency = 5 * kMillisecond;
+  auto c1 = make_controller(1, cfg);
+  auto c2 = make_controller(2, cfg);
+  auto c3 = make_controller(3, cfg);
+  attach_tracer(*c1, 1);
+  attach_tracer(*c2, 2);
+  attach_tracer(*c3, 3);
+
+  telemetry::MetricsRegistry registry;
+  c2->bind_metrics(registry);
+  c3->bind_metrics(registry);
+
+  flood_ads({c1.get(), c2.get(), c3.get()});
+  ASSERT_TRUE(c1->is_peer(2));
+  ASSERT_TRUE(c1->is_peer(3));
+
+  InvocationTriple triple;
+  triple.victim_prefix = pfx("10.0.0.0/8");
+  triple.functions = kInvokeAll;
+  EXPECT_EQ(c1->invoke({triple}), 2u);
+  loop_.run_until(loop_.now() + 10 * kSecond);
+
+  const auto shards = load_shards();
+  ASSERT_EQ(shards.size(), 3u);
+  for (const auto& shard : shards) {
+    if (shard.as == 1) continue;
+    const auto installs = named(shard, "filter_install");
+    ASSERT_EQ(installs.size(), 1u) << "AS " << shard.as;
+    EXPECT_EQ(arg(installs[0], "ttp_us"), 15000u) << "AS " << shard.as;
+  }
+  EXPECT_EQ(ttp_count(registry), 2.0);
+  EXPECT_NEAR(ttp_sum(registry), 0.030, 1e-6);
+
+  c2->unbind_metrics();
+  c3->unbind_metrics();
+}
+
+TEST_F(TracePropagationTest, EveryControllerEventReachesTheShard) {
+  ControllerConfig cfg;
+  cfg.detect_threshold = 3;
+  cfg.reliability.max_retries = 2;
+  auto c1 = make_controller(1, cfg);
+  auto c2 = make_controller(2, cfg);
+  attach_tracer(*c1, 1);
+  attach_tracer(*c2, 2);
+  flood_ads({c1.get(), c2.get()});
+  ASSERT_TRUE(c1->is_peer(2));
+
+  // An invocation: one window span per triple, lasting the window.
+  InvocationTriple triple;
+  triple.victim_prefix = pfx("10.0.0.0/8");
+  triple.functions = kInvokeAll;
+  triple.duration = 20 * kSecond;
+  EXPECT_EQ(c1->invoke({triple}), 1u);
+  loop_.run_until(loop_.now() + kSecond);
+
+  // Alarm samples from one source AS cross the detection threshold: the
+  // detector fires and the controller asks its peers to quit alarm mode.
+  for (int i = 0; i < 3; ++i) c2->on_alarm_sample({loop_.now(), 1, true});
+  loop_.run_until(loop_.now() + kSecond);
+
+  // A teardown shipped into a partition: the notice runs out of retries.
+  FaultPlan plan;
+  plan.partitions.push_back({1, 2, loop_.now(), loop_.now() + kHour});
+  net_.set_fault_plan(plan);
+  c1->tear_down_peering(2);
+  loop_.run_until(loop_.now() + kMinute);
+  ASSERT_EQ(c1->link().stats().delivery_failures, 1u);
+
+  const auto shards = load_shards();
+  ASSERT_EQ(shards.size(), 2u);
+  const TraceShard& victim = shards[0].as == 1 ? shards[0] : shards[1];
+  const TraceShard& peer = shards[0].as == 1 ? shards[1] : shards[0];
+
+  const auto windows = named(victim, "invocation_window");
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].kind, ShardRecord::Kind::kSpan);
+  EXPECT_EQ(windows[0].dur, 20 * kSecond);
+  const auto roots = named(victim, "invocation");
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(windows[0].trace, roots[0].trace);
+  EXPECT_EQ(windows[0].parent, roots[0].span);
+
+  const auto triggers = named(peer, "detector_trigger");
+  ASSERT_EQ(triggers.size(), 1u);
+  EXPECT_EQ(arg(triggers[0], "source_as"), 1u);
+  EXPECT_EQ(named(peer, "drop_mode_requested").size(), 1u);
+
+  const auto teardowns = named(victim, "peering_teardown");
+  ASSERT_EQ(teardowns.size(), 1u);
+  EXPECT_EQ(arg(teardowns[0], "peer"), 2u);
+  const auto failures = named(victim, "delivery_failure");
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].kind, ShardRecord::Kind::kInstant);
+  EXPECT_EQ(arg(failures[0], "peer"), 2u);
 }
 
 }  // namespace
