@@ -5,9 +5,9 @@
 //      buys the control plane;
 //   2. transaction application rate through DataPlaneEngine::apply and
 //      through a zero-latency ConRouChannel (channel bookkeeping overhead);
-//   3. the DiscsSystem packet plane — run_attack (per-packet BorderRouter
-//      path) vs run_attack_batched (sharded engine path) on an armed
-//      topology.
+//   3. the DiscsSystem packet plane — run_attack (one packet per
+//      send_batch call) vs run_attack_batched (512-packet send_batch
+//      calls) through the same per-DAS engines on an armed topology.
 // The recorded run lives in results/bench_transactions.txt; the
 // machine-readable metrics in results/bench_transactions.json.
 #include <chrono>
@@ -116,12 +116,12 @@ void txn_rate_section(bench::JsonWriter& json) {
   json.metric("txn_rate", "channel_txns_per_sec", channeled);
 }
 
-/// End-to-end packet plane: the serial per-packet path vs the batch path on
+/// End-to-end packet plane: one-packet vs 512-packet send_batch calls on
 /// the same armed two-DAS topology (identically-seeded systems, identical
 /// sampler streams).
 void batch_path_section(bench::JsonWriter& json) {
   const std::size_t kPackets = 50000 / g_scale;
-  bench::header("DiscsSystem attack traffic: serial vs batch path");
+  bench::header("DiscsSystem attack traffic: one-packet vs 512-packet batches");
 
   const auto build = [] {
     DiscsSystem::Config cfg;
@@ -154,10 +154,10 @@ void batch_path_section(bench::JsonWriter& json) {
       AttackType::kDirect, agent, victim, kPackets, /*batch_size=*/512);
   const double batched_rate = kPackets / seconds_since(t0);
 
-  std::printf("  %-32s %12.0f pkt/s\n", "run_attack (serial routers)",
-              serial_rate);
-  std::printf("  %-32s %12.0f pkt/s   speedup %5.2fx\n",
-              "run_attack_batched (engines)", batched_rate,
+  std::printf("  %-40s %12.0f pkt/s\n",
+              "run_attack (one-packet send_batch calls)", serial_rate);
+  std::printf("  %-40s %12.0f pkt/s   speedup %5.2fx\n",
+              "run_attack_batched (512-packet calls)", batched_rate,
               batched_rate / serial_rate);
   bench::note("filtered fractions agree: serial " +
               std::to_string(serial.filtered_fraction()) + ", batched " +

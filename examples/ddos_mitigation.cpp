@@ -49,7 +49,7 @@ int main() {
   // The botnet ramps up: spoofed packets claiming the helpers' address
   // space (the kind CDP-verify can judge) arrive in waves.
   std::size_t wave = 0;
-  while (victim.router().alarm_mode() && wave < 50) {
+  while (victim.engine().alarm_mode() && wave < 50) {
     ++wave;
     for (int k = 0; k < 20; ++k) {
       SpoofFlow flow{botnet_as, helpers[static_cast<std::size_t>(k) % helpers.size()],
@@ -62,7 +62,7 @@ int main() {
   std::printf("detector fired after wave %zu: alarm mode -> drop mode\n", wave);
   std::printf("victim sampled %llu spoofed packets before deciding\n",
               static_cast<unsigned long long>(
-                  victim.router().stats().in_spoof_sampled));
+                  victim.engine().stats().in_spoof_sampled));
 
   // From now on the same traffic is dropped at the victim's border.
   AttackReport after;
@@ -88,10 +88,10 @@ int main() {
               helpers[0], inside.dropped_at_source, inside.packets_sent);
 
   // Cost story: the defense ran only where and when it was needed.
+  const RouterStats counters = victim.engine().stats();
   std::printf("\nrouter counters at the victim: %llu verified, %llu spoof-dropped, %llu passed unverified\n",
-              static_cast<unsigned long long>(victim.router().stats().in_verified),
-              static_cast<unsigned long long>(victim.router().stats().in_spoof_dropped),
-              static_cast<unsigned long long>(
-                  victim.router().stats().in_passed_unverified));
+              static_cast<unsigned long long>(counters.in_verified),
+              static_cast<unsigned long long>(counters.in_spoof_dropped),
+              static_cast<unsigned long long>(counters.in_passed_unverified));
   return 0;
 }

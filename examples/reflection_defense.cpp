@@ -56,8 +56,8 @@ int main() {
   }
   std::printf("genuine victim->resolver requests delivered: %zu/200 (stamped %llu, verified %llu)\n",
               genuine_ok,
-              static_cast<unsigned long long>(victim.router().stats().out_stamped),
-              static_cast<unsigned long long>(resolver.router().stats().in_verified));
+              static_cast<unsigned long long>(victim.engine().stats().out_stamped),
+              static_cast<unsigned long long>(resolver.engine().stats().in_verified));
 
   // 2. Forged requests from the legacy botnet claiming the victim's space:
   //    the reflector AS ingress (CSP-verify) rejects them — the amplified

@@ -59,14 +59,6 @@ Controller::Controller(ControllerConfig config, EventLoop& loop,
   local_prefixes_ = rpki_->prefixes_of(config_.as);
   local_prefixes6_ = rpki_->prefixes6_of(config_.as);
 
-  const std::size_t router_count = std::max<std::size_t>(1, config_.border_routers);
-  routers_.reserve(router_count);
-  for (std::size_t i = 0; i < router_count; ++i) {
-    routers_.push_back(std::make_unique<BorderRouter>(
-        tables_, config_.as, derive_seed(config_.seed, 0xda7a + i)));
-    routers_.back()->set_alarm_sink(
-        [this](const AlarmSample& sample) { on_alarm_sample(sample); });
-  }
   EngineConfig engine_config = config_.engine;
   if (engine_config.rng_seed == EngineConfig{}.rng_seed) {
     engine_config.rng_seed = derive_seed(config_.seed, 0xe791e);
@@ -79,7 +71,7 @@ Controller::Controller(ControllerConfig config, EventLoop& loop,
                                              /*expiry_grace=*/config_.tolerance);
 
   // Deployment-time provisioning: push the RPKI-derived prefix-to-AS
-  // mapping (§V-A) to the routers as the bootstrap transaction, then seal
+  // mapping (§V-A) to the engine as the bootstrap transaction, then seal
   // the tables — from here on, TableTransactions are the only write path.
   TableTransaction bootstrap;
   for (const auto& entry : rpki_->entries()) {
@@ -394,7 +386,7 @@ std::size_t Controller::invoke(const std::vector<InvocationTriple>& triples,
                   {"alarm_mode", alarm_mode ? 1u : 0u}},
                  triple.duration, root);
   }
-  set_alarm_mode_everywhere(alarm_mode);
+  engine_->set_alarm_mode(alarm_mode);
   std::size_t asked = 0;
   for (auto& [as, info] : peers_) {
     if (info.state != PeerState::kPeered) continue;
@@ -588,7 +580,7 @@ void Controller::handle_invocation(AsNumber from, const InvocationRequest& msg,
     ++accepted;
   }
   if (msg.alarm_mode) {
-    set_alarm_mode_everywhere(true);
+    engine_->set_alarm_mode(true);
   }
   // Responses are fire-and-forget: they double as the request's ack (seq
   // echo), and a lost response is repaired by the requester's retransmit.
@@ -602,20 +594,15 @@ void Controller::handle_invocation(AsNumber from, const InvocationRequest& msg,
   finish_span(accepted);
 }
 
-void Controller::set_alarm_mode_everywhere(bool on) {
-  for (auto& r : routers_) r->set_alarm_mode(on);
-  engine_->set_alarm_mode(on);
-}
-
 void Controller::handle_alarm_quit(AsNumber from) {
   if (!is_peer(from)) return;
   // Leave alarm mode: identified spoofing traffic is dropped again.
-  set_alarm_mode_everywhere(false);
+  engine_->set_alarm_mode(false);
 }
 
 void Controller::request_drop_mode() {
   trace_record("drop_mode_requested");
-  set_alarm_mode_everywhere(false);
+  engine_->set_alarm_mode(false);
   for (const auto& [as, info] : peers_) {
     if (info.state == PeerState::kPeered) {
       link_.send_reliable(as, AlarmQuit{});
@@ -640,7 +627,6 @@ void Controller::enable_auto_defense(std::size_t threshold_packets,
     // DP+CDP at every peer for it.
     invoke_ddos_defense(*overwhelmed, /*spoofed_source=*/false);
   };
-  for (auto& router : routers_) router->set_traffic_observer(observer);
   engine_->set_traffic_observer(observer);
 }
 
@@ -726,13 +712,6 @@ std::vector<AsNumber> Controller::peers() const {
 }
 
 std::size_t Controller::peer_count() const { return peers().size(); }
-
-RouterStats Controller::total_router_stats() const {
-  RouterStats total;
-  for (const auto& r : routers_) total += r->stats();
-  total += engine_->stats();
-  return total;
-}
 
 Controller::~Controller() { unbind_metrics(); }
 
@@ -845,14 +824,11 @@ void Controller::close_open_span(std::optional<OpenSpan>& open,
 
 void Controller::enable_flow_reports(std::size_t capacity) {
   flow_ring_ = std::make_unique<telemetry::RingBuffer<FlowReport>>(capacity);
-  // The routers already have the controller's alarm sink, so adding a flow
+  // The engine already has the controller's alarm sink, so adding a flow
   // sink never changes the shared 1-in-n sampling decision (and thus the
-  // router RNG streams) — both sinks fire for the same sampled packets.
-  const auto sink = [this](const FlowReport& report) {
-    flow_ring_->push(report);
-  };
-  for (auto& router : routers_) router->set_flow_sink(sink);
-  engine_->set_flow_sink(sink);
+  // shards' RNG streams) — both sinks fire for the same sampled packets.
+  engine_->set_flow_sink(
+      [this](const FlowReport& report) { flow_ring_->push(report); });
 }
 
 std::vector<FlowReport> Controller::alarm_reports() const {

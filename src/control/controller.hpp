@@ -6,13 +6,14 @@
 //   4. invokes / executes defense functions on demand (§IV-E)
 //   5. runs alarm mode and a threshold attack detector (§IV-F)
 //
-// The controller owns its AS's RouterTables, the BorderRouters bound to
-// them, and the sharded DataPlaneEngine over the same tables. Tables are
-// sealed at construction: every mutation the controller decides (key
-// install, re-key, invocation, teardown, expiry) is expressed as a
-// TableTransaction and delivered through the ConRouChannel, which models
-// the secure con-rou path of §IV-B and applies each transaction atomically
-// at the engine.
+// The controller owns its AS's RouterTables and the sharded
+// DataPlaneEngine over them, the DAS's only data plane: each engine shard
+// is one border router over the shared controller-installed tables (the
+// route-reflector structure of §IV-B Fig. 2). Tables are sealed at
+// construction: every mutation the controller decides (key install,
+// re-key, invocation, teardown, expiry) is expressed as a TableTransaction
+// and delivered through the ConRouChannel, which models the secure con-rou
+// path of §IV-B and applies each transaction atomically at the engine.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 #include "control/detector.hpp"
 #include "control/reliable.hpp"
 #include "control/secure_channel.hpp"
-#include "dataplane/router.hpp"
+#include "dataplane/engine.hpp"
 #include "telemetry/ring.hpp"
 #include "telemetry/span.hpp"
 #include "topology/dataset.hpp"
@@ -55,16 +56,13 @@ struct ControllerConfig {
   /// needed before the controller requests peers to quit alarm mode.
   std::size_t detect_threshold = 100;
   SimTime detect_window = 10 * kSecond;
-  /// Border routers this controller manages (it connects to them like a
-  /// route reflector, §IV-B Fig. 2). All share the controller-installed
-  /// tables; each keeps its own counters/RNG.
-  std::size_t border_routers = 1;
-  /// Latency of the secure con-rou channel: table updates reach the border
-  /// routers this much later than the controller decides them. Contributes
+  /// Latency of the secure con-rou channel: table updates reach the engine
+  /// this much later than the controller decides them. Contributes
   /// to the asynchronization the §IV-E1 tolerance intervals absorb.
   SimTime con_rou_latency = 0;
-  /// The DAS's sharded batch data-plane engine (the fast path driven by
-  /// DiscsSystem::send_batch). Seed is derived from `seed` when left at the
+  /// The DAS's sharded data-plane engine: one shard per border router,
+  /// driven by DiscsSystem::send_batch (and send_packet / run_attack as
+  /// one-packet batches). Seed is derived from `seed` when left at the
   /// EngineConfig default.
   EngineConfig engine{};
   /// Retransmission / dedup parameters of this controller's ReliableLink
@@ -148,8 +146,8 @@ class Controller {
 
   // ---- automatic attack detection (§IV-E1, "when to invoke") ----
 
-  /// Arms a rate detector over all local IPv4 prefixes on every border
-  /// router: when the inbound rate toward a prefix crosses the threshold,
+  /// Arms a rate detector over all local IPv4 prefixes on every engine
+  /// shard: when the inbound rate toward a prefix crosses the threshold,
   /// the controller invokes DP+CDP for it automatically. Fires at most once
   /// per prefix per holddown.
   void enable_auto_defense(std::size_t threshold_packets, SimTime window,
@@ -161,7 +159,7 @@ class Controller {
 
   // ---- alarm-mode detector (§IV-F) ----
 
-  /// Feed of alarm samples from the border router; when one source AS
+  /// Feed of alarm samples from the engine; when one source AS
   /// crosses the detection threshold the controller auto-invokes drop mode.
   void on_alarm_sample(const AlarmSample& sample);
 
@@ -181,31 +179,13 @@ class Controller {
     return local_prefixes6_;
   }
 
-  /// The DAS's border routers. router() is the first (single-router DASes
-  /// are the common case).
-  ///
-  /// router(index) contract: `index` is an *interface selector*, not a
-  /// bounds-checked array position — it deliberately wraps modulo
-  /// router_count(), so any stable per-neighbor value (e.g. the neighbor AS
-  /// number) picks a consistent router. Callers with a neighbor AS in hand
-  /// should use router_for_interface() instead of hashing by hand.
-  [[nodiscard]] BorderRouter& router() { return *routers_.front(); }
-  [[nodiscard]] const BorderRouter& router() const { return *routers_.front(); }
-  [[nodiscard]] BorderRouter& router(std::size_t index) {
-    return *routers_[index % routers_.size()];
-  }
-  /// The border router handling the interface toward `neighbor` (the AS the
-  /// packet arrives from / leaves toward).
-  [[nodiscard]] BorderRouter& router_for_interface(AsNumber neighbor) {
-    return router(static_cast<std::size_t>(neighbor));
-  }
-  [[nodiscard]] std::size_t router_count() const { return routers_.size(); }
   /// Read-only view of the table set; mutations only happen through the
   /// transaction pipeline (the tables are sealed).
   [[nodiscard]] const RouterTables& tables() const { return tables_; }
 
-  /// The sharded batch engine over this DAS's tables (fast path) and the
-  /// con-rou channel delivering transactions to it.
+  /// The sharded engine over this DAS's tables (its only data plane; its
+  /// stats() cover all of the DAS's traffic) and the con-rou channel
+  /// delivering transactions to it.
   [[nodiscard]] DataPlaneEngine& engine() { return *engine_; }
   [[nodiscard]] const DataPlaneEngine& engine() const { return *engine_; }
   [[nodiscard]] ConRouChannel& con_rou() { return *con_rou_; }
@@ -215,10 +195,6 @@ class Controller {
   /// (retransmit timers, dedup state, delivery-failure counters).
   [[nodiscard]] ReliableLink& link() { return link_; }
   [[nodiscard]] const ReliableLink& link() const { return link_; }
-
-  /// Aggregated counters across all border routers *and* the engine's
-  /// shards (serial path + batch path merged via RouterStats::operator+=).
-  [[nodiscard]] RouterStats total_router_stats() const;
 
   /// Controller-side counters for the cost evaluation.
   struct Stats {
@@ -264,7 +240,7 @@ class Controller {
   [[nodiscard]] telemetry::SpanTracer* span_tracer() const { return spans_; }
 
   /// Alarm-mode flow reports (§IV-F): buffers the sampled NetFlow-style
-  /// records from every border router and the engine into a bounded ring
+  /// records from every engine shard into a bounded ring
   /// this controller's operator scrapes. Newest-wins once full;
   /// flow_reports_total() counts past evictions.
   void enable_flow_reports(std::size_t capacity = 1024);
@@ -332,10 +308,8 @@ class Controller {
   void execute_victim_functions(const InvocationTriple& triple);
 
   /// Remembers an undelivered transaction tied to `peer`, so forget_peer
-  /// can withdraw it before it reaches the routers.
+  /// can withdraw it before it reaches the engine.
   void track_delivery(AsNumber peer, ConRouChannel::DeliveryId id);
-
-  void set_alarm_mode_everywhere(bool on);
 
   void schedule_rekey_timer();
 
@@ -376,7 +350,6 @@ class Controller {
   ReliableLink link_;
 
   RouterTables tables_;
-  std::vector<std::unique_ptr<BorderRouter>> routers_;
   std::unique_ptr<DataPlaneEngine> engine_;
   std::unique_ptr<ConRouChannel> con_rou_;
   std::vector<Prefix4> local_prefixes_;

@@ -99,54 +99,29 @@ std::vector<AsNumber> DiscsSystem::deployed_ases() const {
   return result;
 }
 
-template <typename Packet>
-DeliveryResult DiscsSystem::send_impl(AsNumber origin_as, Packet& packet) {
-  DeliveryResult result;
-  const AsNumber dst_as = dataset_.origin_of(packet.header.dst);
-  if (dst_as == kNoAs || !graph_.contains(origin_as) || !graph_.contains(dst_as)) {
-    result.outcome = DeliveryOutcome::kUnroutable;
-    return result;
-  }
-  result.path = graph_.path(origin_as, dst_as);
-  if (result.path.empty()) {
-    result.outcome = DeliveryOutcome::kUnroutable;
-    return result;
-  }
+namespace {
 
-  // Outbound processing happens where the packet originates (a transit AS
-  // never applies Out-* functions to through-traffic; that is what keeps
-  // DISCS free of inherent false positives). Multi-router DASes pick the
-  // border router facing the next/previous hop on the AS path.
-  if (auto* source = controller(origin_as); source != nullptr && origin_as != dst_as) {
-    BorderRouter& egress = source->router_for_interface(
-        result.path.size() > 1 ? result.path[1] : 0);
-    result.source_verdict = egress.process_outbound(packet, loop_.now());
-    if (is_drop(result.source_verdict)) {
-      result.outcome = DeliveryOutcome::kDroppedAtSource;
-      return result;
-    }
-  }
-  // Legacy and transit ASes forward the packet unmodified.
-  if (auto* destination = controller(dst_as);
-      destination != nullptr && origin_as != dst_as) {
-    BorderRouter& ingress = destination->router_for_interface(
-        result.path.size() > 1 ? result.path[result.path.size() - 2] : 0);
-    result.destination_verdict = ingress.process_inbound(packet, loop_.now());
-    if (is_drop(result.destination_verdict)) {
-      result.outcome = DeliveryOutcome::kDroppedAtDestination;
-      return result;
-    }
-  }
-  result.outcome = DeliveryOutcome::kDelivered;
+/// A one-packet send_batch call: the engines run it inline on the shard its
+/// flow hashes to. The packet comes back stamped or with its mark erased.
+template <typename Packet>
+DeliveryResult send_one(DiscsSystem& system, AsNumber origin_as,
+                        Packet& packet) {
+  PacketBatch batch;
+  batch.add(std::move(packet));
+  DeliveryResult result =
+      std::move(system.send_batch(origin_as, batch).front());
+  packet = std::move(std::get<Packet>(batch[0]));
   return result;
 }
 
+}  // namespace
+
 DeliveryResult DiscsSystem::send_packet(AsNumber origin_as, Ipv4Packet& packet) {
-  return send_impl(origin_as, packet);
+  return send_one(*this, origin_as, packet);
 }
 
 DeliveryResult DiscsSystem::send_packet(AsNumber origin_as, Ipv6Packet& packet) {
-  return send_impl(origin_as, packet);
+  return send_one(*this, origin_as, packet);
 }
 
 std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
@@ -278,12 +253,7 @@ void count_outcome(AttackReport& report, DeliveryOutcome outcome) {
 
 AttackReport DiscsSystem::run_attack(AttackType type, AsNumber agent_as,
                                      AsNumber victim_as, std::size_t packets) {
-  AttackReport report;
-  for (std::size_t k = 0; k < packets; ++k) {
-    Ipv4Packet packet = sample_attack_packet(type, agent_as, victim_as);
-    count_outcome(report, send_packet(agent_as, packet).outcome);
-  }
-  return report;
+  return run_attack_batched(type, agent_as, victim_as, packets, 1);
 }
 
 AttackReport DiscsSystem::run_attack_batched(AttackType type, AsNumber agent_as,

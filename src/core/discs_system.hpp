@@ -2,7 +2,9 @@
 // one object: a simulated inter-AS internet where ASes deploy DISCS, find
 // each other through BGP DISCS-Ads, peer, exchange keys, and defend each
 // other's prefixes on demand, with packets flowing through the real data
-// plane (AES-CMAC marks and all).
+// plane (AES-CMAC marks and all). Each DAS has one data plane, its
+// controller's sharded DataPlaneEngine; send_packet and run_attack are
+// send_batch over one-packet batches.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -110,17 +112,17 @@ class DiscsSystem {
   /// Sends `packet` from a host inside `origin_as`: source-DAS egress
   /// processing, AS-path forwarding (legacy ASes don't touch the packet),
   /// destination-DAS ingress processing. IPv6 packets traverse the §V-F
-  /// data plane (destination-option marks) over the same AS topology.
+  /// data plane (destination-option marks) over the same AS topology. This
+  /// is send_batch over a one-packet batch; the packet is mutated in place.
   DeliveryResult send_packet(AsNumber origin_as, Ipv4Packet& packet);
   DeliveryResult send_packet(AsNumber origin_as, Ipv6Packet& packet);
 
-  /// Batch fast path: sends a whole PacketBatch from `origin_as` through
-  /// the per-DAS DataPlaneEngines (sharded outbound at the source, sharded
-  /// inbound per destination DAS), instead of one BorderRouter call per
-  /// packet. Packets are mutated in place exactly like send_packet; the
-  /// result vector is aligned with batch indices. AS-level paths are
-  /// computed once per destination AS within the batch, each touching only
-  /// the endpoints' provider ancestry (AsGraph::path).
+  /// Sends a whole PacketBatch from `origin_as` through the per-DAS
+  /// DataPlaneEngines (sharded outbound at the source, sharded inbound per
+  /// destination DAS). Packets are mutated in place (stamping, mark
+  /// erasure); the result vector is aligned with batch indices. AS-level
+  /// paths are computed once per destination AS within the batch, each
+  /// touching only the endpoints' provider ancestry (AsGraph::path).
   std::vector<DeliveryResult> send_batch(AsNumber origin_as, PacketBatch& batch);
 
   /// Same, with an explicit timestamp instead of loop().now() — for callers
@@ -131,13 +133,14 @@ class DiscsSystem {
                                          SimTime now);
 
   /// Scripted spoofing attack: `packets` attack packets of `type` from
-  /// agents inside `agent_as` against victim AS owning `victim`.
+  /// agents inside `agent_as` against victim AS owning `victim`, one packet
+  /// per send_batch call (run_attack_batched with batch_size 1).
   AttackReport run_attack(AttackType type, AsNumber agent_as, AsNumber victim_as,
                           std::size_t packets);
 
-  /// run_attack through the batch fast path: samples the identical packet
-  /// stream (same sampler state evolution), sends it in `batch_size` chunks
-  /// via send_batch, and aggregates the same report.
+  /// run_attack in `batch_size` chunks per send_batch call: samples the
+  /// identical packet stream (same sampler state evolution) and aggregates
+  /// the same report whatever the chunking.
   AttackReport run_attack_batched(AttackType type, AsNumber agent_as,
                                   AsNumber victim_as, std::size_t packets,
                                   std::size_t batch_size = 512);
@@ -155,11 +158,7 @@ class DiscsSystem {
  private:
   void distribute_ads();
 
-  template <typename Packet>
-  DeliveryResult send_impl(AsNumber origin_as, Packet& packet);
-
-  /// Samples the next attack packet (shared by run_attack and
-  /// run_attack_batched so both consume the sampler stream identically).
+  /// Samples the next attack packet of run_attack_batched.
   Ipv4Packet sample_attack_packet(AttackType type, AsNumber agent_as,
                                   AsNumber victim_as);
 

@@ -282,47 +282,66 @@ void DataPlaneEngine::process(std::span<BatchPacket> packets,
   if (indices.empty()) return;
   assert(verdicts.size() >= packets.size());
   const std::size_t n = shards_.size();
-  if (n > 1 && workers_.empty()) start();
+  // Partition: one flow-hash pass filling the per-shard index lists (none
+  // with one shard). Only the consumer thread touches the lists and the
+  // workers are idle between batches, so it runs before the reader lock
+  // and before the lazy start(). A batch that lands on a single shard
+  // (every batch of a one-shard engine, every one-packet batch) runs that
+  // shard inline on the caller: no rings, no doorbell, no worker spawn.
+  Shard* inline_shard = shards_[0].get();
+  std::span<const std::uint32_t> inline_indices = indices;
+  if (n > 1) {
+    for (auto& shard : shards_) shard->indices.clear();
+    for (const std::uint32_t i : indices) {
+      shards_[flow_hash(packets[i]) % n]->indices.push_back(i);
+    }
+    std::size_t occupied = 0;
+    for (auto& shard : shards_) {
+      if (shard->indices.empty()) continue;
+      ++occupied;
+      inline_shard = shard.get();
+    }
+    if (occupied == 1) {
+      inline_indices = inline_shard->indices;
+    } else {
+      inline_shard = nullptr;
+      if (workers_.empty()) start();
+    }
+  }
   {
     std::shared_lock lock(mutex_);
-    const bool instrumented = telem_.registry != nullptr;
-    if (instrumented) {
+    if (telem_.registry != nullptr) {
       telem_.batch_size->record(static_cast<double>(indices.size()));
+      if (n == 1) {
+        telem_.queue_depth->record(static_cast<double>(indices.size()));
+      } else {
+        for (const auto& shard : shards_) {
+          telem_.queue_depth->record(
+              static_cast<double>(shard->indices.size()));
+        }
+      }
     }
     // Publish the batch context. The release store inside each ring push
-    // orders these writes before any worker's pop; the single-shard bypass
-    // reads them from the consumer thread directly.
+    // orders these writes before any worker's pop; the inline path reads
+    // them from the consumer thread directly.
     ctx_packets_ = packets;
     ctx_verdicts_ = verdicts.data();
     ctx_now_ = now;
     ctx_outbound_ = kOutbound;
 
-    if (n == 1) {
-      // Single-worker bypass: no hashing, no partition scratch, no rings —
-      // the caller's index span is processed inline, in chunks so the
-      // two-phase batch walk stays cache-resident.
-      Shard& shard = *shards_[0];
-      if (instrumented) {
-        telem_.queue_depth->record(static_cast<double>(indices.size()));
-      }
-      const std::size_t chunk = autotune_chunk(indices.size());
-      for (std::size_t at = 0; at < indices.size(); at += chunk) {
-        run_chunk(shard, indices.subspan(at, std::min(chunk, indices.size() - at)),
+    if (inline_shard != nullptr) {
+      // Chunked so the two-phase batch walk stays cache-resident.
+      const std::size_t chunk = autotune_chunk(inline_indices.size());
+      for (std::size_t at = 0; at < inline_indices.size(); at += chunk) {
+        run_chunk(*inline_shard,
+                  inline_indices.subspan(
+                      at, std::min(chunk, inline_indices.size() - at)),
                   kOutbound);
       }
     } else {
-      // Partition: one flow-hash pass filling the per-shard index lists.
-      for (auto& shard : shards_) shard->indices.clear();
-      for (const std::uint32_t i : indices) {
-        shards_[flow_hash(packets[i]) % n]->indices.push_back(i);
-      }
       std::size_t max_occupancy = 0;
       for (const auto& shard : shards_) {
         max_occupancy = std::max(max_occupancy, shard->indices.size());
-        if (instrumented) {
-          telem_.queue_depth->record(
-              static_cast<double>(shard->indices.size()));
-        }
       }
       const std::size_t chunk = autotune_chunk(max_occupancy);
       // Dispatch round-robin so every worker receives its first chunk
@@ -437,6 +456,11 @@ TableEpoch DataPlaneEngine::apply(const TableTransaction& txn, SimTime now) {
 void DataPlaneEngine::set_alarm_mode(bool on) {
   std::unique_lock lock(mutex_);
   for (auto& shard : shards_) shard->router.set_alarm_mode(on);
+}
+
+bool DataPlaneEngine::alarm_mode() const {
+  std::shared_lock lock(mutex_);
+  return shards_.front()->router.alarm_mode();
 }
 
 void DataPlaneEngine::set_sampling_rate(std::uint32_t one_in_n) {

@@ -6,8 +6,8 @@
 // Worker model (persistent, SPSC-fed — no per-batch thread fan-out):
 //  * Shard 0 always runs on the consumer thread. Shards 1..N-1 each own one
 //    persistent pinned worker thread, spawned once (at construction, at
-//    start(), or lazily on the first multi-shard batch) and parked on a
-//    generation-stamped doorbell while idle.
+//    start(), or lazily on the first batch spanning several shards) and
+//    parked on a generation-stamped doorbell while idle.
 //  * Fan-out moves index ranges, not packets: the consumer partitions the
 //    batch into per-shard index lists and pushes span-based work items
 //    (begin/end ranges into those lists) onto each worker's bounded SPSC
@@ -15,8 +15,11 @@
 //    per-shard occupancy so phase-A/phase-B passes stay cache-resident.
 //  * Completion is a per-worker cumulative chunk counter, awaited with a
 //    spin-then-futex wait — no join barrier, no condvar round trip.
-//  * With one shard the engine bypasses partitioning and rings entirely and
-//    runs the (chunked) batch inline on the consumer thread.
+//  * A batch that lands on one shard bypasses the rings entirely: that
+//    shard runs the (chunked) batch inline on the consumer thread. With one
+//    shard this is every batch (and the flow-hash pass is skipped); with
+//    several it covers every one-packet batch, so per-packet callers never
+//    spawn workers or pay a ring round trip.
 //
 // Concurrency contract:
 //  * process_outbound/process_inbound are called from ONE consumer thread
@@ -117,8 +120,8 @@ struct EngineConfig {
   /// skipped when the host has a single core.
   bool pin_workers = true;
   /// Spawn the persistent workers inside the constructor. When false they
-  /// spawn at start() or lazily on the first multi-shard batch, so
-  /// engines that never see batch traffic never own threads.
+  /// spawn at start() or lazily on the first batch spanning several shards,
+  /// so engines that only ever see one-packet batches never own threads.
   bool spawn_workers_eagerly = false;
 };
 
@@ -130,11 +133,12 @@ class DataPlaneEngine {
                   EngineConfig config = {});
 
   /// Spawns the persistent workers (idempotent; a no-op with one shard).
-  /// Called lazily by the first multi-shard batch when the config did not
-  /// ask for eager spawning.
+  /// Called lazily by the first batch spanning several shards when the
+  /// config did not ask for eager spawning.
   void start();
   /// Parks and joins the workers (idempotent). The engine stays usable:
-  /// the next multi-shard batch restarts them. Must not race process_*.
+  /// the next batch spanning several shards restarts them. Must not race
+  /// process_*.
   void stop();
   [[nodiscard]] bool workers_running() const { return !workers_.empty(); }
 
@@ -167,7 +171,10 @@ class DataPlaneEngine {
   /// way to change tables, sealed or not, while the engine is live.
   TableEpoch apply(const TableTransaction& txn, SimTime now);
 
+  /// Alarm mode (§IV-F) on every shard: identified spoofing is sampled and
+  /// passed instead of dropped.
   void set_alarm_mode(bool on);
+  [[nodiscard]] bool alarm_mode() const;
   void set_sampling_rate(std::uint32_t one_in_n);
   void set_alarm_sink(std::function<void(const AlarmSample&)> sink);
   void set_icmp6_sink(std::function<void(Ipv6Packet)> sink);
@@ -281,7 +288,7 @@ class DataPlaneEngine {
 
   /// Runs one index range of `shard` against the published batch context.
   /// Called from the owning worker thread (shards 1..N-1) or the consumer
-  /// thread (shard 0 and the single-shard bypass).
+  /// thread (shard 0, and any shard a batch occupies alone).
   void run_chunk(Shard& shard, std::span<const std::uint32_t> indices,
                  bool outbound);
   void worker_main(std::size_t worker_index);

@@ -159,6 +159,14 @@ class BorderRouter {
     traffic_observer_ = std::move(observer);
   }
 
+  /// Per-packet entry points. No DAS traffic takes them: a Controller's
+  /// only data plane is its DataPlaneEngine, whose shards run the batch
+  /// entry points below. They stay as the straight-line §V-C reference
+  /// engine_equivalence_test compares the engine against, and as the
+  /// serial baseline of bench_engine's w1 gate (a batch-of-one loop or a
+  /// whole-batch walk runs slower than this path, so either would loosen
+  /// the gate).
+  ///
   /// Processes a packet leaving the local AS through this border router.
   Verdict process_outbound(Ipv4Packet& packet, SimTime now);
   Verdict process_outbound(Ipv6Packet& packet, SimTime now);

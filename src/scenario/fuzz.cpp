@@ -40,8 +40,8 @@ bool has_attack_steps(const ScenarioSpec& spec) {
                      });
 }
 
-/// Copy of `spec` with every attack forced onto one data-plane path:
-/// batch 0 = serial send_packet, otherwise the batch fast path.
+/// Copy of `spec` with every attack forced onto one chunking: batch 0 =
+/// one packet per `send_batch` call, otherwise `batch` packets per call.
 ScenarioSpec with_attack_batch(const ScenarioSpec& spec, std::size_t batch) {
   ScenarioSpec copy = spec;
   for (ScheduleStep& s : copy.schedule) {
@@ -142,7 +142,7 @@ CheckResult check_scenario(const ScenarioSpec& spec) {
       if (!equal) {
         result.violations.push_back(
             {std::string(invariants::kSerialBatchEquivalence),
-             "serial and batched attack paths disagree"});
+             "one-packet and 256-packet send_batch chunkings disagree"});
       }
     }
   } catch (const std::exception& e) {

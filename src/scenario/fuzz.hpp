@@ -34,8 +34,9 @@ struct CheckResult {
 
 /// Runs `spec` and evaluates its `check` lines plus `expect_violation` (the
 /// union). round_trip is syntactic (no world); the rest fold the
-/// ScenarioOutcome; serial_batch_equivalence runs the spec twice (serial
-/// attack path vs. batch fast path) and compares the attack reports.
+/// ScenarioOutcome; serial_batch_equivalence runs the spec twice (one
+/// packet per send_batch call vs. 256-packet chunks) and compares the
+/// attack reports, pinning chunking invariance.
 /// Exceptions from the runner surface as an "error" violation rather than
 /// propagating, so the fuzz loop can shrink crashes too.
 [[nodiscard]] CheckResult check_scenario(const ScenarioSpec& spec);

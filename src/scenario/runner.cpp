@@ -276,11 +276,9 @@ bool ScenarioRunner::run_step() {
           resolve_attack_as(a.victim, a.victim_index, /*victim=*/true);
       const AsNumber agent =
           resolve_attack_as(a.agent, a.agent_index, /*victim=*/false);
-      outcome_.attacks.push_back(
-          a.batch == 0
-              ? system_->run_attack(a.type, agent, victim, a.packets)
-              : system_->run_attack_batched(a.type, agent, victim, a.packets,
-                                            a.batch));
+      // batch 0 runs as batch 1: one packet per send_batch call.
+      outcome_.attacks.push_back(system_->run_attack_batched(
+          a.type, agent, victim, a.packets, a.batch));
       break;
     }
     case ScheduleStep::Kind::kDeploy:

@@ -4,7 +4,8 @@
 // Two world shapes, one driver:
 //  * system worlds assemble a full DiscsSystem (synthetic internet or an
 //    explicit RPKI table, BGP Ad flooding, the per-DAS data-plane engines)
-//    and can run attack steps through the serial or batched packet path;
+//    and run attack steps through send_batch, one packet per call or in
+//    chunks (AttackStep::batch);
 //  * control worlds assemble bare controllers over a ConConNetwork — the
 //    chaos fixture — with per-controller seeds pinned by the spec, so the
 //    PR 4 convergence assertions replay bit-for-bit.

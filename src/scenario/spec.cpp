@@ -432,13 +432,6 @@ bool Parser::handle_line(const std::vector<std::string>& t) {
   if (key == "controller.detect_window") {
     return read_time(v, &spec.controller.detect_window);
   }
-  if (key == "controller.routers") {
-    if (!read_count(v, &spec.controller.border_routers)) return false;
-    if (spec.controller.border_routers == 0) {
-      return fail("controller.routers must be >= 1");
-    }
-    return true;
-  }
   if (key == "controller.con_rou_latency") {
     return read_time(v, &spec.controller.con_rou_latency);
   }
@@ -723,7 +716,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
       << "\n";
   out << "controller.detect_window "
       << format_time(spec.controller.detect_window) << "\n";
-  out << "controller.routers " << spec.controller.border_routers << "\n";
   out << "controller.con_rou_latency "
       << format_time(spec.controller.con_rou_latency) << "\n";
 

@@ -31,7 +31,7 @@
 //                                        # may pin the controller seed)
 //   controller.peering_delay/.rekey_interval/.default_duration/.tolerance/
 //     .detect_window/.con_rou_latency <time>
-//   controller.detect_threshold/.routers <n>
+//   controller.detect_threshold <n>
 //   reliability.initial_rto/.max_rto <time>
 //   reliability.backoff <f>  reliability.max_retries/.dedup_window <n>
 //   fault.drop/.duplicate <probability>  fault.reorder/.jitter <time>
@@ -114,7 +114,7 @@ struct AttackStep {
   int agent_index = -1;   // @i reference into the deployment order
   int victim_index = -1;
   std::size_t packets = 1000;
-  std::size_t batch = 0;  // 0 = serial send_packet path
+  std::size_t batch = 0;  // 0 = one packet per send_batch call
   std::uint64_t seed = 0; // flow-level Monte-Carlo seed (eval harnesses)
 };
 

@@ -121,9 +121,11 @@ TEST_P(ByzantineFuzz, RandomMessageStormViolatesNoInvariant) {
 
   // Invariant 3: the defender's own packets still flow to its peer.
   // (Control-plane chaos must not poison the data plane for bystanders.)
-  auto packet = Ipv4Packet::make(ip("10.0.0.1"), ip("20.0.0.1"), IpProto::kUdp,
-                                 {1, 2, 3});
-  EXPECT_EQ(defender.router().process_outbound(packet, now), Verdict::kPass);
+  // One-packet batch through the defender's engine, its only data plane.
+  PacketBatch batch;
+  batch.add(Ipv4Packet::make(ip("10.0.0.1"), ip("20.0.0.1"), IpProto::kUdp,
+                             {1, 2, 3}));
+  EXPECT_EQ(defender.engine().process_outbound(batch, now)[0], Verdict::kPass);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByzantineFuzz, ::testing::Values(1, 2, 3, 4, 5));

@@ -10,6 +10,24 @@ namespace {
 Prefix4 pfx(const char* t) { return *Prefix4::parse(t); }
 Ipv4Address ip(const char* t) { return *Ipv4Address::parse(t); }
 
+/// Runs `packet` through the controller's engine (its only data plane) as a
+/// one-packet batch and hands back the stamped or mark-erased packet.
+Verdict send_one(Controller& c, Ipv4Packet& packet, SimTime now,
+                 bool outbound) {
+  PacketBatch batch;
+  batch.add(std::move(packet));
+  const Verdict verdict = outbound ? c.engine().process_outbound(batch, now)[0]
+                                   : c.engine().process_inbound(batch, now)[0];
+  packet = std::move(std::get<Ipv4Packet>(batch[0]));
+  return verdict;
+}
+Verdict outbound(Controller& c, Ipv4Packet& packet, SimTime now) {
+  return send_one(c, packet, now, /*outbound=*/true);
+}
+Verdict inbound(Controller& c, Ipv4Packet& packet, SimTime now) {
+  return send_one(c, packet, now, /*outbound=*/false);
+}
+
 // Three DASes (AS 1: 10/8, AS 2: 20/8, AS 3: 30/8) plus a legacy AS 4
 // (40/8) that never runs DISCS.
 class ControlPlaneTest : public ::testing::Test {
@@ -115,18 +133,18 @@ TEST_F(ControlPlaneTest, EndToEndPacketFiltering) {
   // Genuine packet from AS 2 to the victim: stamped at 2, verified at 1.
   auto good = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp,
                                {1, 2, 3});
-  EXPECT_EQ(c2->router().process_outbound(good, now), Verdict::kPass);
-  EXPECT_EQ(c1->router().process_inbound(good, now), Verdict::kPass);
-  EXPECT_EQ(c1->router().stats().in_verified, 1u);
+  EXPECT_EQ(outbound(*c2, good, now), Verdict::kPass);
+  EXPECT_EQ(inbound(*c1, good, now), Verdict::kPass);
+  EXPECT_EQ(c1->engine().stats().in_verified, 1u);
 
   // Agent inside AS 2 spoofing AS 4: dropped at 2's egress (DP).
   auto spoof = Ipv4Packet::make(ip("40.0.0.1"), ip("10.1.0.1"), IpProto::kUdp, {});
-  EXPECT_EQ(c2->router().process_outbound(spoof, now), Verdict::kDropFiltered);
+  EXPECT_EQ(outbound(*c2, spoof, now), Verdict::kDropFiltered);
 
   // Attack from legacy AS 4 spoofing AS 2's space: reaches the victim
   // unstamped and is dropped by CDP-verify.
   auto forged = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp, {});
-  EXPECT_EQ(c1->router().process_inbound(forged, now), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound(*c1, forged, now), Verdict::kDropSpoofed);
 }
 
 TEST_F(ControlPlaneTest, SpoofedSourceDefenseUsesSpCsp) {
@@ -140,21 +158,21 @@ TEST_F(ControlPlaneTest, SpoofedSourceDefenseUsesSpCsp) {
   // Victim stamps its genuine outbound toward the peer (CSP-stamp).
   auto genuine = Ipv4Packet::make(ip("10.1.0.1"), ip("20.0.0.5"), IpProto::kUdp,
                                   {1, 2});
-  EXPECT_EQ(c1->router().process_outbound(genuine, now), Verdict::kPass);
-  EXPECT_EQ(c1->router().stats().out_stamped, 1u);
-  EXPECT_EQ(c2->router().process_inbound(genuine, now), Verdict::kPass);
-  EXPECT_EQ(c2->router().stats().in_verified, 1u);
+  EXPECT_EQ(outbound(*c1, genuine, now), Verdict::kPass);
+  EXPECT_EQ(c1->engine().stats().out_stamped, 1u);
+  EXPECT_EQ(inbound(*c2, genuine, now), Verdict::kPass);
+  EXPECT_EQ(c2->engine().stats().in_verified, 1u);
 
   // Reflection-attack request forged by an agent inside AS 2, claiming the
   // victim's source: dropped at 2's egress (SP).
   auto forged = Ipv4Packet::make(ip("10.1.0.1"), ip("20.0.0.5"), IpProto::kUdp, {});
-  EXPECT_EQ(c2->router().process_outbound(forged, now), Verdict::kDropFiltered);
+  EXPECT_EQ(outbound(*c2, forged, now), Verdict::kDropFiltered);
 
   // Forged request arriving at the peer from the legacy world without a
   // mark: dropped by CSP-verify at 2's ingress.
   auto inbound_forged =
       Ipv4Packet::make(ip("10.1.0.1"), ip("20.0.0.5"), IpProto::kUdp, {9});
-  EXPECT_EQ(c2->router().process_inbound(inbound_forged, now),
+  EXPECT_EQ(inbound(*c2, inbound_forged, now),
             Verdict::kDropSpoofed);
 }
 
@@ -222,7 +240,7 @@ TEST_F(ControlPlaneTest, RekeyKeepsTrafficFlowing) {
   // Packet stamped under the original key...
   auto in_flight = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"),
                                     IpProto::kUdp, {1});
-  EXPECT_EQ(c2->router().process_outbound(in_flight, t1), Verdict::kPass);
+  EXPECT_EQ(outbound(*c2, in_flight, t1), Verdict::kPass);
 
   // ...then AS 2 re-keys (two-phase). Advance only far enough for the
   // KeyInstall/Ack exchange — the grace window (2 s) must still be open.
@@ -233,8 +251,8 @@ TEST_F(ControlPlaneTest, RekeyKeepsTrafficFlowing) {
   // The in-flight packet still verifies via the grace key window. (Judged
   // at t1, outside the invocation's head tolerance interval, so this truly
   // exercises the grace key.)
-  EXPECT_EQ(c1->router().process_inbound(in_flight, t1), Verdict::kPass);
-  EXPECT_GE(c1->router().stats().in_verified, 1u);
+  EXPECT_EQ(inbound(*c1, in_flight, t1), Verdict::kPass);
+  EXPECT_GE(c1->engine().stats().in_verified, 1u);
 
   // Once the grace window closes the old key is purged from the table.
   loop_.run_until(loop_.now() + 5 * kSecond);
@@ -243,8 +261,8 @@ TEST_F(ControlPlaneTest, RekeyKeepsTrafficFlowing) {
   // New packets use the new key and verify too.
   auto fresh = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp,
                                 {2});
-  EXPECT_EQ(c2->router().process_outbound(fresh, loop_.now()), Verdict::kPass);
-  EXPECT_EQ(c1->router().process_inbound(fresh, loop_.now()), Verdict::kPass);
+  EXPECT_EQ(outbound(*c2, fresh, loop_.now()), Verdict::kPass);
+  EXPECT_EQ(inbound(*c1, fresh, loop_.now()), Verdict::kPass);
 }
 
 TEST_F(ControlPlaneTest, PeriodicRekeyTimerFires) {
@@ -275,7 +293,7 @@ TEST_F(ControlPlaneTest, AlarmModeDetectorTriggersDropMode) {
                kHour}},
              /*alarm_mode=*/true);
   loop_.run_until(loop_.now() + kSecond);  // bounded: expiry sweep is queued
-  EXPECT_TRUE(c1->router().alarm_mode());
+  EXPECT_TRUE(c1->engine().alarm_mode());
 
   // A stream of forged packets (claiming peer AS 2) hits the victim, well
   // past the head tolerance interval so verification actually judges them.
@@ -283,20 +301,20 @@ TEST_F(ControlPlaneTest, AlarmModeDetectorTriggersDropMode) {
   for (int i = 0; i < 9; ++i) {
     auto forged = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"),
                                    IpProto::kUdp, {std::uint8_t(i)});
-    EXPECT_EQ(c1->router().process_inbound(forged, t0 + i), Verdict::kPass);
+    EXPECT_EQ(inbound(*c1, forged, t0 + i), Verdict::kPass);
   }
-  EXPECT_TRUE(c1->router().alarm_mode());  // below threshold
+  EXPECT_TRUE(c1->engine().alarm_mode());  // below threshold
 
   auto forged = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp,
                                  {99});
-  EXPECT_EQ(c1->router().process_inbound(forged, t0 + 10), Verdict::kPass);
+  EXPECT_EQ(inbound(*c1, forged, t0 + 10), Verdict::kPass);
   // Threshold crossed: the controller leaves alarm mode (and asks peers to).
-  EXPECT_FALSE(c1->router().alarm_mode());
+  EXPECT_FALSE(c1->engine().alarm_mode());
   EXPECT_EQ(c1->stats().detector_triggers, 1u);
 
   auto next = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp,
                                {100});
-  EXPECT_EQ(c1->router().process_inbound(next, t0 + 11), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound(*c1, next, t0 + 11), Verdict::kDropSpoofed);
 }
 
 TEST_F(ControlPlaneTest, LegacyAsGetsNoProtection) {
@@ -309,7 +327,7 @@ TEST_F(ControlPlaneTest, LegacyAsGetsNoProtection) {
   // Traffic spoofing legacy AS 4's space toward AS 4 flows through AS 2
   // untouched: no function tables ever mention 40/8.
   auto spoof = Ipv4Packet::make(ip("40.0.0.1"), ip("40.0.0.2"), IpProto::kUdp, {});
-  EXPECT_EQ(c2->router().process_outbound(spoof, now), Verdict::kPass);
+  EXPECT_EQ(outbound(*c2, spoof, now), Verdict::kPass);
 }
 
 TEST_F(ControlPlaneTest, ConRouLatencyDelaysTableInstallation) {
@@ -336,8 +354,8 @@ TEST_F(ControlPlaneTest, ConRouLatencyDelaysTableInstallation) {
   // comfortably covers the 200 ms skew — a genuine packet stamped by the
   // peer immediately after install verifies at the victim.
   auto p = Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp, {1});
-  EXPECT_EQ(c2->router().process_outbound(p, now), Verdict::kPass);
-  EXPECT_EQ(c1->router().process_inbound(p, now), Verdict::kPass);
+  EXPECT_EQ(outbound(*c2, p, now), Verdict::kPass);
+  EXPECT_EQ(inbound(*c1, p, now), Verdict::kPass);
 }
 
 TEST_F(ControlPlaneTest, ControllerRequiresValidAs) {
@@ -425,9 +443,9 @@ TEST_F(ControlPlaneTest, RekeySurvivesLostAcksAndKeepsGraceKeyUntilCommit) {
   ASSERT_TRUE(c1->tables().key_v.find(2)->previous.has_value());
   auto old_stamped =
       Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp, {1});
-  EXPECT_EQ(c2->router().process_outbound(old_stamped, loop_.now()),
+  EXPECT_EQ(outbound(*c2, old_stamped, loop_.now()),
             Verdict::kPass);
-  EXPECT_EQ(c1->router().process_inbound(old_stamped, loop_.now()),
+  EXPECT_EQ(inbound(*c1, old_stamped, loop_.now()),
             Verdict::kPass);
 
   // The partition heals, a retransmission completes the handshake, and the
@@ -443,8 +461,8 @@ TEST_F(ControlPlaneTest, RekeySurvivesLostAcksAndKeepsGraceKeyUntilCommit) {
 
   auto fresh =
       Ipv4Packet::make(ip("20.0.0.5"), ip("10.1.0.1"), IpProto::kUdp, {2});
-  EXPECT_EQ(c2->router().process_outbound(fresh, loop_.now()), Verdict::kPass);
-  EXPECT_EQ(c1->router().process_inbound(fresh, loop_.now()), Verdict::kPass);
+  EXPECT_EQ(outbound(*c2, fresh, loop_.now()), Verdict::kPass);
+  EXPECT_EQ(inbound(*c1, fresh, loop_.now()), Verdict::kPass);
 }
 
 TEST_F(ControlPlaneTest, UnreachablePeerRollsBackToDiscovered) {

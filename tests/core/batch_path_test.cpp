@@ -1,7 +1,8 @@
-// The DiscsSystem batch fast path: send_batch must agree with send_packet
-// verdict-for-verdict, run_attack_batched must reproduce run_attack
-// exactly, and the batch path must stay safe while control-plane
-// transactions land mid-stream (the suite CI runs under TSan).
+// The DiscsSystem batch path: send_batch must agree with send_packet (a
+// one-packet send_batch call) verdict-for-verdict, run_attack_batched must
+// reproduce run_attack (batch size 1) exactly — chunking invariance — and
+// the batch path must stay safe while control-plane transactions land
+// mid-stream (the suite CI runs under TSan).
 #include <atomic>
 #include <thread>
 #include <vector>

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace discs {
 namespace {
 
@@ -128,7 +130,42 @@ TEST(DiscsSystemTest, ReflectionAttackIsFiltered) {
   auto genuine = system.sampler().legit_packet(cast.victim, cast.helper);
   EXPECT_EQ(system.send_packet(cast.victim, genuine).outcome,
             DeliveryOutcome::kDelivered);
-  EXPECT_GE(system.controller(cast.helper)->router().stats().in_verified, 1u);
+  EXPECT_GE(system.controller(cast.helper)->engine().stats().in_verified, 1u);
+}
+
+double metric_value(const telemetry::MetricsSnapshot& snap,
+                    const std::string& name, const telemetry::Labels& labels) {
+  for (const auto& m : snap.metrics) {
+    if (m.name == name && m.labels == labels) return m.value;
+  }
+  return -1;
+}
+
+// run_attack traffic is DAS traffic like any other: a controller's bound
+// metrics count the packets its data plane drops.
+TEST(DiscsSystemTest, BoundMetricsCountRunAttackTraffic) {
+  telemetry::MetricsRegistry registry;  // outlives the bound controller
+  DiscsSystem system(small_config());
+  const Cast cast = pick_cast(system);
+  auto& victim = system.deploy(cast.victim);
+  auto& helper = system.deploy(cast.helper);
+  system.settle();
+  helper.bind_metrics(registry);
+  victim.invoke_ddos_defense_all(/*spoofed_source=*/false);  // DP + CDP
+  system.settle(10 * kSecond);
+
+  const auto report =
+      system.run_attack(AttackType::kDirect, cast.helper, cast.victim, 200);
+  ASSERT_EQ(report.dropped_at_source, 200u);
+
+  const auto snap = registry.snapshot();
+  const std::string as = std::to_string(cast.helper);
+  EXPECT_DOUBLE_EQ(
+      metric_value(snap, "discs_router_out_dropped_total", {{"as", as}}),
+      200.0);
+  EXPECT_DOUBLE_EQ(metric_value(snap, "discs_engine_verdicts_total",
+                                {{"as", as}, {"verdict", "drop_filtered"}}),
+                   200.0);
 }
 
 TEST(DiscsSystemTest, NoProtectionWithoutInvocation) {

@@ -98,8 +98,8 @@ TEST(Ipv6SystemTest, GenuineV6TrafficStampedAndVerified) {
     // ingress: the delivered packet equals the original.
     EXPECT_EQ(packet, original);
   }
-  EXPECT_GE(helper.router().stats().out_stamped, 50u);
-  EXPECT_GE(victim.router().stats().in_verified, 50u);
+  EXPECT_GE(helper.engine().stats().out_stamped, 50u);
+  EXPECT_GE(victim.engine().stats().in_verified, 50u);
 
   // Legacy-origin genuine v6 traffic passes unverified (no peer source).
   auto from_legacy = system.sampler().legit_packet6(cast.legacy, cast.victim);

@@ -400,6 +400,17 @@ TEST_F(EngineEdgeCases, EmptyAndSinglePacketBatches) {
   EXPECT_TRUE(engine.process_inbound(empty, now).empty());
   EXPECT_EQ(engine.stats(), RouterStats{});
   EXPECT_EQ(engine.worker_stats().chunks, 0u);
+  // One-packet batches each occupy one shard and run inline on the caller:
+  // the lazily spawned workers never start and no doorbell ever rings.
+  for (const BatchPacket& packet : mix) {
+    PacketBatch one;
+    one.add(BatchPacket(packet));
+    (void)engine.process_inbound(one, now);
+  }
+  EXPECT_EQ(engine.stats().in_processed, mix.size());
+  EXPECT_FALSE(engine.workers_running());
+  EXPECT_EQ(engine.worker_stats().doorbells, 0u);
+  EXPECT_EQ(engine.worker_stats().chunks, 0u);
 }
 
 TEST_F(EngineEdgeCases, RingWraparoundUnderBackpressure) {

@@ -137,6 +137,18 @@ TEST(ScenarioSpecTest, UnknownKeysAndValuesAreRejected) {
   expect_rejected("topology synthetic\ndrain 5 parsecs\n", "bad time unit");
 }
 
+// A DAS's border routers are its engine's shards (engine.shards); the
+// separate per-controller router count is gone from the grammar.
+TEST(ScenarioSpecTest, ControllerRoutersKeyIsRejected) {
+  const auto result =
+      parse_scenario("topology synthetic\ncontroller.routers 4\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().to_string().find("unknown key 'controller.routers'"),
+            std::string::npos)
+      << result.error().to_string();
+  EXPECT_TRUE(parse_scenario("topology synthetic\nengine.shards 4\n").ok());
+}
+
 TEST(ScenarioSpecTest, OutOfRangeValuesAreRejected) {
   expect_rejected("topology synthetic\nfault.drop 1.5\n", "probability > 1");
   expect_rejected("topology synthetic\nfault.drop -0.1\n", "probability < 0");

@@ -194,10 +194,11 @@ TEST_F(ControllerFlowReportTest, VictimControllerCollectsReportsIntoRing) {
   const SimTime now = loop_.now() + kMinute;
   constexpr std::uint32_t kPackets = 6;  // > ring capacity
   for (std::uint32_t i = 0; i < kPackets; ++i) {
-    auto packet = Ipv4Packet::make(ip("20.0.0.5"),
-                                   Ipv4Address(0x0a010000u | i), IpProto::kUdp,
-                                   std::vector<std::uint8_t>(8));
-    EXPECT_TRUE(is_drop(c1->router().process_inbound(packet, now)));
+    // One-packet batch through the controller's engine, its only data plane.
+    PacketBatch batch;
+    batch.add(Ipv4Packet::make(ip("20.0.0.5"), Ipv4Address(0x0a010000u | i),
+                               IpProto::kUdp, std::vector<std::uint8_t>(8)));
+    EXPECT_TRUE(is_drop(c1->engine().process_inbound(batch, now)[0]));
   }
 
   EXPECT_EQ(c1->flow_reports_total(), kPackets);
