@@ -14,21 +14,39 @@ constexpr std::uint8_t kFlagTraceContext = 1u << 1;
 constexpr std::uint8_t kKnownFlags = kFlagAckRequested | kFlagTraceContext;
 
 // ---- primitive writers ----
+//
+// Every field goes through a sink: ByteSink appends the big-endian bytes,
+// SizeSink only counts them. encode_envelope and encoded_size run the same
+// put_* layout code over one or the other, so the two cannot disagree.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
+struct ByteSink {
+  std::vector<std::uint8_t>& out;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
+  void u8(std::uint8_t v) { out.push_back(v); }
+  void u16(std::uint16_t v) {
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    out.push_back(static_cast<std::uint8_t>(v & 0xff));
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void bytes(const std::uint8_t* data, std::size_t n) {
+    out.insert(out.end(), data, data + n);
+  }
+};
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+struct SizeSink {
+  std::size_t size = 0;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u8(std::uint8_t) { size += 1; }
+  void u16(std::uint16_t) { size += 2; }
+  void u32(std::uint32_t) { size += 4; }
+  void u64(std::uint64_t) { size += 8; }
+  void bytes(const std::uint8_t*, std::size_t n) { size += n; }
+};
 
 /// Guards every u16 length/count prefix: a size that does not fit must
 /// fail loudly at the sender instead of encoding a wrong length the
@@ -42,22 +60,63 @@ std::uint16_t checked_u16_size(std::size_t n, const char* what) {
   return static_cast<std::uint16_t>(n);
 }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u16(out, checked_u16_size(s.size(), "string"));
-  out.insert(out.end(), s.begin(), s.end());
+template <class Sink>
+void put_string(Sink& out, const std::string& s) {
+  out.u16(checked_u16_size(s.size(), "string"));
+  out.bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-void put_victim_prefix(std::vector<std::uint8_t>& out, const VictimPrefix& vp) {
+template <class Sink>
+void put_victim_prefix(Sink& out, const VictimPrefix& vp) {
   if (const auto* v4 = std::get_if<Prefix4>(&vp)) {
-    put_u8(out, 4);
-    put_u32(out, v4->address().bits());
-    put_u8(out, static_cast<std::uint8_t>(v4->length()));
+    out.u8(4);
+    out.u32(v4->address().bits());
+    out.u8(static_cast<std::uint8_t>(v4->length()));
   } else {
     const auto& v6 = std::get<Prefix6>(vp);
-    put_u8(out, 6);
-    out.insert(out.end(), v6.address().bytes().begin(), v6.address().bytes().end());
-    put_u8(out, static_cast<std::uint8_t>(v6.length()));
+    out.u8(6);
+    out.bytes(v6.address().bytes().data(), v6.address().bytes().size());
+    out.u8(static_cast<std::uint8_t>(v6.length()));
   }
+}
+
+/// The type-specific body that follows the header (and trace extension).
+template <class Sink>
+void put_body(Sink& out, const ControlMessage& message) {
+  std::visit(
+      [&](const auto& body) {
+        using T = std::decay_t<decltype(body)>;
+        if constexpr (std::is_same_v<T, PeeringReject> ||
+                      std::is_same_v<T, PeeringTeardown>) {
+          put_string(out, body.reason);
+        } else if constexpr (std::is_same_v<T, InvocationReject>) {
+          put_string(out, body.reason);
+          out.u64(body.request_seq);
+        } else if constexpr (std::is_same_v<T, KeyInstall>) {
+          out.bytes(body.key.data(), body.key.size());
+          out.u64(body.serial);
+          out.u8(body.rekey ? 1 : 0);
+        } else if constexpr (std::is_same_v<T, KeyInstallAck>) {
+          out.u64(body.serial);
+        } else if constexpr (std::is_same_v<T, RekeyComplete>) {
+          out.u64(body.serial);
+        } else if constexpr (std::is_same_v<T, DeliveryAck>) {
+          out.u64(body.acked_seq);
+        } else if constexpr (std::is_same_v<T, InvocationRequest>) {
+          out.u8(body.alarm_mode ? 1 : 0);
+          out.u16(checked_u16_size(body.triples.size(), "triple count"));
+          for (const auto& triple : body.triples) {
+            put_victim_prefix(out, triple.victim_prefix);
+            out.u8(triple.functions);
+            out.u64(triple.duration);
+          }
+        } else if constexpr (std::is_same_v<T, InvocationAccept>) {
+          out.u32(static_cast<std::uint32_t>(body.accepted_triples));
+          out.u64(body.request_seq);
+        }
+        // PeeringRequest / PeeringAccept / AlarmQuit: empty body.
+      },
+      message);
 }
 
 // ---- primitive readers (cursor-based, fail via optional) ----
@@ -157,57 +216,30 @@ MessageType message_type(const ControlMessage& message) {
 }
 
 std::vector<std::uint8_t> encode_envelope(const Envelope& envelope) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  put_u8(out, static_cast<std::uint8_t>(message_type(envelope.message)));
+  std::vector<std::uint8_t> bytes;
+  ByteSink out{bytes};
+  out.bytes(kMagic, sizeof kMagic);
+  out.u8(static_cast<std::uint8_t>(message_type(envelope.message)));
   std::uint8_t flags = envelope.ack_requested ? kFlagAckRequested : 0;
   if (envelope.trace) flags |= kFlagTraceContext;
-  put_u8(out, flags);
-  put_u16(out, 0);  // reserved
-  put_u32(out, envelope.from);
-  put_u32(out, envelope.to);
-  put_u64(out, envelope.seq);
+  out.u8(flags);
+  out.u16(0);  // reserved
+  out.u32(envelope.from);
+  out.u32(envelope.to);
+  out.u64(envelope.seq);
   if (envelope.trace) {
-    put_u64(out, envelope.trace->trace_id);
-    put_u64(out, envelope.trace->parent_span_id);
-    put_u64(out, envelope.trace->origin_ts_us);
+    out.u64(envelope.trace->trace_id);
+    out.u64(envelope.trace->parent_span_id);
+    out.u64(envelope.trace->origin_ts_us);
   }
+  put_body(out, envelope.message);
+  return bytes;
+}
 
-  std::visit(
-      [&](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, PeeringReject> ||
-                      std::is_same_v<T, PeeringTeardown>) {
-          put_string(out, body.reason);
-        } else if constexpr (std::is_same_v<T, InvocationReject>) {
-          put_string(out, body.reason);
-          put_u64(out, body.request_seq);
-        } else if constexpr (std::is_same_v<T, KeyInstall>) {
-          out.insert(out.end(), body.key.begin(), body.key.end());
-          put_u64(out, body.serial);
-          put_u8(out, body.rekey ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, KeyInstallAck>) {
-          put_u64(out, body.serial);
-        } else if constexpr (std::is_same_v<T, RekeyComplete>) {
-          put_u64(out, body.serial);
-        } else if constexpr (std::is_same_v<T, DeliveryAck>) {
-          put_u64(out, body.acked_seq);
-        } else if constexpr (std::is_same_v<T, InvocationRequest>) {
-          put_u8(out, body.alarm_mode ? 1 : 0);
-          put_u16(out, checked_u16_size(body.triples.size(), "triple count"));
-          for (const auto& triple : body.triples) {
-            put_victim_prefix(out, triple.victim_prefix);
-            put_u8(out, triple.functions);
-            put_u64(out, triple.duration);
-          }
-        } else if constexpr (std::is_same_v<T, InvocationAccept>) {
-          put_u32(out, static_cast<std::uint32_t>(body.accepted_triples));
-          put_u64(out, body.request_seq);
-        }
-        // PeeringRequest / PeeringAccept / AlarmQuit: empty body.
-      },
-      envelope.message);
-  return out;
+std::size_t encoded_size(const ControlMessage& message) {
+  SizeSink out{kHeaderSize};
+  put_body(out, message);
+  return out.size;
 }
 
 std::optional<Envelope> decode_envelope(std::span<const std::uint8_t> wire) {

@@ -53,6 +53,11 @@ inline constexpr std::size_t kMaxWireLength = 65535;
 /// strictly worse than a loud local failure.
 [[nodiscard]] std::vector<std::uint8_t> encode_envelope(const Envelope& envelope);
 
+/// Length of encode_envelope(Envelope{from, to, message}) for an envelope
+/// without a trace context, computed from the same field layout without
+/// building the bytes. Throws std::length_error where encode_envelope does.
+[[nodiscard]] std::size_t encoded_size(const ControlMessage& message);
+
 /// Parses an envelope; nullopt on any malformed input (bad magic, unknown
 /// type, truncation, trailing bytes, out-of-range values).
 [[nodiscard]] std::optional<Envelope> decode_envelope(

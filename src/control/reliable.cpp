@@ -5,6 +5,18 @@
 #include "control/codec.hpp"
 
 namespace discs {
+namespace {
+
+/// Values of the `type` label, in ControlMessage alternative order.
+constexpr std::array<const char*, std::variant_size_v<ControlMessage>>
+    kMessageTypeNames = {
+        "peering_request",    "peering_accept",     "peering_reject",
+        "key_install",        "key_install_ack",    "invocation_request",
+        "invocation_accept",  "invocation_reject",  "alarm_quit",
+        "peering_teardown",   "delivery_ack",       "rekey_complete",
+};
+
+}  // namespace
 
 void ReliableLink::send_reliable(AsNumber to, ControlMessage message,
                                  AckToken token,
@@ -33,7 +45,7 @@ void ReliableLink::send_reliable(AsNumber to, ControlMessage message,
                       static_cast<int>(message_type(envelope.message)),
                       *envelope.trace, loop_->now(), /*attempt=*/1);
   }
-  net_->send(std::move(envelope));
+  transmit(std::move(envelope));
   arm_timer(key);
 }
 
@@ -47,10 +59,16 @@ void ReliableLink::send(AsNumber to, ControlMessage message,
                       static_cast<int>(message_type(envelope.message)),
                       *envelope.trace, loop_->now(), /*attempt=*/1);
   }
+  transmit(std::move(envelope));
+}
+
+void ReliableLink::transmit(Envelope envelope) {
+  ++sent_by_type_[envelope.message.index()];
   net_->send(std::move(envelope));
 }
 
 ReceiveAction ReliableLink::on_receive(const Envelope& envelope) {
+  ++received_by_type_[envelope.message.index()];
   // Every context-carrying arrival (duplicates included — the merge tool
   // takes the minimum delay over all pairs) becomes a recv record.
   if (spans_ != nullptr && envelope.trace) {
@@ -68,7 +86,7 @@ ReceiveAction ReliableLink::on_receive(const Envelope& envelope) {
     // Ack even duplicates: a retransmission usually means our previous
     // DeliveryAck was lost. DeliveryAcks are unsequenced fire-and-forget.
     ++stats_.acks_sent;
-    net_->send(Envelope{self_, envelope.from, DeliveryAck{envelope.seq}});
+    transmit(Envelope{self_, envelope.from, DeliveryAck{envelope.seq}});
   }
 
   if (envelope.seq == 0) return ReceiveAction::kFresh;  // raw sender: no dedup
@@ -180,7 +198,7 @@ void ReliableLink::on_timeout(PendingKey key) {
   p.rto = std::min(
       static_cast<SimTime>(static_cast<double>(p.rto) * config_.backoff),
       config_.max_rto);
-  net_->send(p.envelope);  // same seq + ack flag: receiver dedups
+  transmit(p.envelope);  // same seq + ack flag: receiver dedups
   arm_timer(key);
 }
 
@@ -210,6 +228,16 @@ void ReliableLink::bind_metrics(telemetry::MetricsRegistry& registry,
              static_cast<double>(stats_.duplicates_suppressed), kCounter);
         emit("discs_reliable_in_flight", static_cast<double>(pending_.size()),
              kGauge);
+        for (std::size_t t = 0; t < kMessageTypeNames.size(); ++t) {
+          telemetry::Labels typed = labels;
+          typed.emplace_back("type", kMessageTypeNames[t]);
+          out.push_back({"discs_concon_messages_sent_total",
+                         static_cast<double>(sent_by_type_[t]), typed,
+                         kCounter});
+          out.push_back({"discs_concon_messages_received_total",
+                         static_cast<double>(received_by_type_[t]),
+                         std::move(typed), kCounter});
+        }
       });
   metrics_ = &registry;
 }

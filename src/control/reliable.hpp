@@ -25,12 +25,14 @@
 //     callback (which e.g. rolls a half-open peering back to kDiscovered).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "control/messages.hpp"
 #include "simkit/event_loop.hpp"
@@ -149,7 +151,8 @@ class ReliableLink {
 
   /// Registers this link's telemetry into `registry`: a native histogram of
   /// the attempt number at each retransmission (the backoff level) plus a
-  /// pull-mode view over ReliabilityStats and the in-flight pending count.
+  /// pull-mode view over ReliabilityStats, the in-flight pending count and
+  /// the per-type message counters (label `type`).
   /// Re-binding replaces the previous binding; the destructor unbinds.
   void bind_metrics(telemetry::MetricsRegistry& registry,
                     telemetry::Labels labels = {});
@@ -181,6 +184,8 @@ class ReliableLink {
   };
   using PendingKey = std::pair<AsNumber, std::uint64_t>;  // (to, seq)
 
+  /// Hands `envelope` to the transport, counting it by type.
+  void transmit(Envelope envelope);
   void arm_timer(PendingKey key);
   void on_timeout(PendingKey key);
   void erase_pending(std::map<PendingKey, Pending>::iterator it);
@@ -196,6 +201,11 @@ class ReliableLink {
   std::map<std::pair<AsNumber, AckToken>, std::uint64_t> token_index_;
   std::unordered_map<AsNumber, PeerRx> rx_;
   ReliabilityStats stats_;
+  /// Con-con volume by message type, indexed by ControlMessage::index():
+  /// every envelope this link hands the transport (acks and retransmits
+  /// included) and every envelope it is handed (duplicates included).
+  std::array<std::uint64_t, std::variant_size_v<ControlMessage>>
+      sent_by_type_{}, received_by_type_{};
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::MetricsRegistry::CollectorId metrics_collector_ = 0;
   telemetry::Histogram* backoff_level_ = nullptr;

@@ -7,9 +7,9 @@
 namespace discs {
 
 std::size_t wire_size(const ControlMessage& message) {
-  // Single source of truth: the real codec (header endpoints do not affect
-  // the size — the common header is fixed at 24 bytes).
-  return encode_envelope(Envelope{kNoAs, kNoAs, message}).size();
+  // Single source of truth: the real codec's field layout (header endpoints
+  // do not affect the size — the common header is fixed at 24 bytes).
+  return encoded_size(message);
 }
 
 void ConConNetwork::set_fault_plan(FaultPlan plan) {
@@ -26,18 +26,28 @@ void ConConNetwork::send(Envelope envelope) {
   // TLS session management: resume when the cache entry is still fresh,
   // otherwise a full handshake (cost + extra latency).
   const PairKey key = pair_key(envelope.from, envelope.to);
+  const SimTime expiry = now + cost_.session_ttl;
   SimTime extra_latency = 0;
-  const auto it = session_expiry_.find(key);
-  if (it != session_expiry_.end() && it->second > now) {
+  const auto [it, inserted] = session_expiry_.try_emplace(key, expiry);
+  if (!inserted && it->second > now) {
     ++stats_.session_resumptions;
+    const auto bucket = live_by_expiry_.find(it->second);
+    if (--bucket->second == 0) live_by_expiry_.erase(bucket);
   } else {
+    // A new pair, or one whose entry expired (its live count, if not yet
+    // popped, leaves with its old bucket below).
     ++stats_.handshakes;
     stats_.bytes += cost_.handshake_bytes;
     extra_latency = cost_.handshake_latency;
+    ++live_;
   }
-  session_expiry_[key] = now + cost_.session_ttl;
+  it->second = expiry;
+  ++live_by_expiry_[expiry];
+  // Popped after the update, so an entry expiring exactly now (a zero TTL)
+  // is not live, as in live_sessions(now).
+  expire_live(now);
   stats_.peak_concurrent_sessions =
-      std::max(stats_.peak_concurrent_sessions, live_sessions(now));
+      std::max(stats_.peak_concurrent_sessions, live_);
 
   // Accounting happens on the send side: the sender pays for bytes it puts
   // on the wire whether or not the fault model delivers them.
@@ -119,6 +129,14 @@ void ConConNetwork::sweep_sessions(SimTime now) {
       ++it;
     }
   }
+}
+
+void ConConNetwork::expire_live(SimTime now) {
+  auto bucket = live_by_expiry_.begin();
+  for (; bucket != live_by_expiry_.end() && bucket->first <= now; ++bucket) {
+    live_ -= bucket->second;
+  }
+  live_by_expiry_.erase(live_by_expiry_.begin(), bucket);
 }
 
 std::size_t ConConNetwork::live_sessions(SimTime now) const {

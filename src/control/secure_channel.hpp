@@ -140,7 +140,9 @@ class ConConNetwork : public Transport {
                     telemetry::Labels labels = {});
   void unbind_metrics();
 
-  /// Number of currently live TLS sessions (cache entries not yet expired).
+  /// Number of currently live TLS sessions (cache entries not yet expired),
+  /// counted by a scan of every cache entry: O(pairs), a query for tests
+  /// and metrics. send() never calls it; it keeps an exact running count.
   [[nodiscard]] std::size_t live_sessions(SimTime now) const;
   /// Session-cache entries held (live + not yet swept); bounded by the
   /// periodic expiry sweep, unlike the pre-sweep cache that grew forever.
@@ -158,10 +160,15 @@ class ConConNetwork : public Transport {
   /// True when `from` <-> `to` sits inside an active partition interval.
   [[nodiscard]] bool partitioned(AsNumber from, AsNumber to, SimTime now) const;
 
-  /// Drops session-cache entries that expired before `now` (amortized: runs
-  /// at most once per TTL period, so stale entries linger < 2 TTLs and every
-  /// send stays O(live pairs), not O(pairs ever seen)).
+  /// Drops session-cache entries that expired at or before `now` and counts
+  /// them in sessions_expired. Runs at most once per TTL period, so stale
+  /// entries linger < 2 TTLs and the cache stays bounded by the pairs seen
+  /// in the last two TTLs; the O(cache) scan runs once per period, not per
+  /// send.
   void sweep_sessions(SimTime now);
+
+  /// Pops every expiry bucket at or before `now` off the live count.
+  void expire_live(SimTime now);
 
   /// Schedules one delivery attempt of `envelope` after `delay`.
   void schedule_delivery(Envelope envelope, SimTime delay);
@@ -171,6 +178,12 @@ class ConConNetwork : public Transport {
   ChannelCostModel cost_;
   std::unordered_map<AsNumber, Handler> handlers_;
   std::map<PairKey, SimTime> session_expiry_;
+  /// Exact live-session index: expiry time -> number of cache entries that
+  /// expire then and have not been popped, with live_ their sum, so the
+  /// peak is read in O(1) instead of by scanning session_expiry_. Bounded
+  /// by live pairs, not by messages.
+  std::map<SimTime, std::size_t> live_by_expiry_;
+  std::size_t live_ = 0;
   SimTime next_session_sweep_ = 0;
   ChannelStats stats_;
   FaultPlan fault_plan_;

@@ -359,8 +359,12 @@ AsGraph generate_graph(const std::vector<AsNumber>& by_size_desc,
     const auto& peers = graph.peers_of(a);
     return std::find(peers.begin(), peers.end(), b) != peers.end();
   };
-  const auto lateral = static_cast<std::size_t>(
-      config.extra_peering_fraction * static_cast<double>(n));
+  // Lateral peers are drawn from below tier-1; a graph that is all tier-1
+  // (n <= tier1_count) has none to draw and is already a full clique.
+  const auto lateral =
+      n <= tier1 ? 0
+                 : static_cast<std::size_t>(config.extra_peering_fraction *
+                                            static_cast<double>(n));
   for (std::size_t k = 0; k < lateral; ++k) {
     const std::size_t i = tier1 + rng.below(n - tier1);
     const std::size_t span = std::max<std::size_t>(n / 20, 2);

@@ -329,6 +329,56 @@ TEST(ChaosTest, LosslessFaultPlanReproducesChannelStatsExactly) {
   EXPECT_TRUE(faults == FaultStats{});  // and the fault layer never fired
 }
 
+// Con-con volume by message type, read back through /metrics: in a
+// lossless world that peers, re-keys and invokes, every envelope crosses
+// some controller's ReliableLink, so the per-type sent counters summed
+// over all links account for every message the channel carried, and each
+// one is received exactly once.
+TEST(ChaosTest, PerTypeMessageCountersAccountForEveryChannelMessage) {
+  telemetry::MetricsRegistry registry;
+  std::ostringstream text;
+  text << kChaosTemplate
+       << "at 30s rekey @0\n"
+          "at 40s invoke @0 10.1.0.0/16 direct 5s\n"
+          "at 60s checkpoint end\n";
+  ChaosWorld world(text.str());
+  for (Controller* c : world.controllers()) c->bind_metrics(registry);
+  ASSERT_TRUE(world.run_to("end"));
+
+  std::map<std::string, double> sent;
+  std::map<std::string, double> received;
+  for (const auto& m : registry.snapshot().metrics) {
+    std::string type;
+    for (const auto& [key, value] : m.labels) {
+      if (key == "type") type = value;
+    }
+    if (m.name == "discs_concon_messages_sent_total") sent[type] += m.value;
+    if (m.name == "discs_concon_messages_received_total") {
+      received[type] += m.value;
+    }
+  }
+  double sent_total = 0;
+  for (const auto& [type, n] : sent) sent_total += n;
+  EXPECT_EQ(sent_total, static_cast<double>(world.net().stats().messages));
+  EXPECT_EQ(sent, received);
+
+  // The handshake shape: 3 pairs peer once (request + accept); each pair
+  // installs a key in both directions (6 KeyInstalls) and AS 1's re-key
+  // installs a fresh one toward each of its 2 peers, every install acked
+  // once and each re-key confirmed by a RekeyComplete; the invocation goes
+  // to both peers. Every send except the InvocationAccepts is reliable and
+  // draws one DeliveryAck.
+  const std::map<std::string, double> expected = {
+      {"peering_request", 3},    {"peering_accept", 3},
+      {"peering_reject", 0},     {"key_install", 8},
+      {"key_install_ack", 8},    {"rekey_complete", 2},
+      {"invocation_request", 2}, {"invocation_accept", 2},
+      {"invocation_reject", 0},  {"alarm_quit", 0},
+      {"peering_teardown", 0},   {"delivery_ack", 26},
+  };
+  EXPECT_EQ(sent, expected);
+}
+
 }  // namespace
 }  // namespace discs
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "random_envelope.hpp"
@@ -73,6 +76,51 @@ TEST(CodecTest, InvocationRequestWithMixedFamilies) {
   EXPECT_TRUE(decoded.alarm_mode);
   EXPECT_EQ(decoded.triples[0], body.triples[0]);
   EXPECT_EQ(decoded.triples[1], body.triples[1]);
+}
+
+// encoded_size walks the encoder's field layout without building bytes; it
+// must agree with encode_envelope on every alternative, InvocationRequest
+// with empty, v4-only, v6-only and mixed triple lists included.
+TEST(CodecTest, EncodedSizeMatchesTheEncoderOnEveryAlternative) {
+  InvocationRequest v4;
+  v4.triples.push_back({*Prefix4::parse("10.1.0.0/16"), kInvokeAll, kHour});
+  v4.triples.push_back({*Prefix4::parse("192.0.2.0/24"), 1, kMinute});
+  InvocationRequest v6;
+  v6.alarm_mode = true;
+  v6.triples.push_back({*Prefix6::parse("2400:1::/32"), 3, kHour});
+  InvocationRequest mixed = v4;
+  mixed.triples.push_back(v6.triples.front());
+  const std::vector<ControlMessage> messages = {
+      PeeringRequest{},
+      PeeringAccept{},
+      PeeringReject{"blacklisted"},
+      KeyInstall{derive_key128(7), 9, true},
+      KeyInstallAck{9},
+      InvocationRequest{},
+      v4,
+      v6,
+      mixed,
+      InvocationAccept{3, 11},
+      InvocationReject{"ownership check failed", 12},
+      AlarmQuit{},
+      PeeringTeardown{""},
+      DeliveryAck{13},
+      RekeyComplete{9},
+  };
+  std::set<std::size_t> alternatives;
+  for (const ControlMessage& m : messages) {
+    alternatives.insert(m.index());
+    EXPECT_EQ(encoded_size(m), encode_envelope(wrap(m)).size())
+        << "alternative " << m.index();
+  }
+  EXPECT_EQ(alternatives.size(), std::variant_size_v<ControlMessage>);
+
+  Xoshiro256 rng(0x512e);
+  for (std::size_t k = 0; k < 240; ++k) {
+    const ControlMessage m = testing::random_message(rng, k);
+    EXPECT_EQ(encoded_size(m), encode_envelope(wrap(m)).size())
+        << "alternative " << m.index();
+  }
 }
 
 TEST(CodecTest, HeaderFormatIsPinned) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
+#include "common/rng.hpp"
+
 namespace discs {
 namespace {
 
@@ -192,6 +198,94 @@ TEST(ConConNetworkTest, TracksPeakConcurrentSessions) {
   loop.run();
   EXPECT_EQ(net.stats().peak_concurrent_sessions, 5u);
   EXPECT_EQ(net.live_sessions(loop.now()), 5u);
+}
+
+// Sessions expire between sends, some after the periodic sweep already ran
+// (so dead entries still sit in the cache), one expired pair comes back
+// before it is swept, and one resumption pushes a session past the expiry
+// of its first handshake. The peak must count live sessions only, exactly.
+TEST(ConConNetworkTest, PeakCountsOnlyLiveSessionsAcrossExpiries) {
+  EventLoop loop;
+  ChannelCostModel cost;
+  cost.session_ttl = kSecond;
+  ConConNetwork net(loop, 0, cost);
+  const auto send_at = [&](SimTime t, AsNumber to) {
+    loop.run_until(t);
+    net.send(1, to, PeeringRequest{});
+  };
+  const auto ms = [](SimTime n) { return n * kMillisecond; };
+
+  send_at(0, 2);
+  send_at(0, 3);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 2u);
+  send_at(ms(500), 4);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 3u);
+  send_at(ms(1200), 5);  // 2 and 3 expired at 1 s (and are swept now)
+  EXPECT_EQ(net.live_sessions(loop.now()), 2u);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 3u);
+  send_at(ms(1600), 6);  // 4 expired at 1.5 s; the next sweep is at 2.2 s
+  send_at(ms(1600), 7);
+  EXPECT_EQ(net.live_sessions(loop.now()), 3u);
+  EXPECT_EQ(net.session_cache_size(), 4u);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 3u);
+  send_at(ms(1700), 4);  // expired, not yet swept: a fresh handshake
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 4u);
+  send_at(ms(2000), 5);  // resumption: 5 now lives until 3.0 s, not 2.2 s
+  send_at(ms(2500), 8);
+  EXPECT_EQ(net.live_sessions(loop.now()), 5u);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 5u);
+  send_at(ms(2650), 9);  // 6 and 7 expired at 2.6 s, unswept until 3.5 s
+  EXPECT_EQ(net.live_sessions(loop.now()), 4u);
+  EXPECT_EQ(net.session_cache_size(), 6u);
+  EXPECT_EQ(net.stats().peak_concurrent_sessions, 5u);
+
+  EXPECT_EQ(net.stats().handshakes, 9u);
+  EXPECT_EQ(net.stats().session_resumptions, 1u);
+  EXPECT_EQ(net.stats().sessions_expired, 2u);
+}
+
+// Seeded sends over 55 pairs whose times cross many TTLs: a hot set of
+// pairs keeps resuming while the rest mostly expire between visits. After
+// every send the channel must agree with a brute-force model that scans
+// every pair's expiry.
+TEST(ConConNetworkTest, PeakMatchesBruteForceOracleOnRandomSends) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    EventLoop loop;
+    ChannelCostModel cost;
+    cost.session_ttl = kSecond;
+    ConConNetwork net(loop, 10 * kMillisecond, cost);
+    Xoshiro256 rng(seed);
+    std::map<std::pair<AsNumber, AsNumber>, SimTime> expiry;
+    std::size_t peak = 0;
+    std::uint64_t handshakes = 0;
+    for (int k = 0; k < 3000; ++k) {
+      if (!rng.chance(0.2)) {
+        loop.run_until(loop.now() + rng.below(cost.session_ttl / 10));
+      }
+      const AsNumber span = rng.chance(0.5) ? 4 : 11;  // hot set: ASes 1-4
+      const AsNumber a = 1 + static_cast<AsNumber>(rng.below(span));
+      AsNumber b = 1 + static_cast<AsNumber>(rng.below(span - 1));
+      if (b >= a) ++b;
+      const SimTime now = loop.now();
+      net.send(a, b, PeeringRequest{});
+
+      SimTime& e = expiry[{std::min(a, b), std::max(a, b)}];
+      if (e <= now) ++handshakes;
+      e = now + cost.session_ttl;
+      const auto live = static_cast<std::size_t>(
+          std::count_if(expiry.begin(), expiry.end(),
+                        [now](const auto& kv) { return kv.second > now; }));
+      peak = std::max(peak, live);
+      ASSERT_EQ(net.live_sessions(now), live) << "seed " << seed << " send " << k;
+      ASSERT_EQ(net.stats().peak_concurrent_sessions, peak)
+          << "seed " << seed << " send " << k;
+    }
+    EXPECT_EQ(net.stats().handshakes, handshakes);
+    EXPECT_EQ(net.stats().session_resumptions, 3000u - handshakes);
+    EXPECT_GT(loop.now(), 20 * cost.session_ttl);
+    EXPECT_GT(handshakes, 500u);
+    EXPECT_GT(3000u - handshakes, 500u);
+  }
 }
 
 }  // namespace

@@ -152,5 +152,22 @@ TEST(GenerateGraphTest, EarlyAsesAccumulateCustomers) {
   EXPECT_GT(tier1_customers, tail_customers * 3);
 }
 
+// Fewer ASes than the tier-1 count: the whole graph is the tier-1 clique,
+// and the lateral-peering pass (sized from extra_peering_fraction * n = 1
+// here) has no sub-tier-1 AS to draw from.
+TEST(GenerateGraphTest, AllTier1GraphIsACliqueWithNoLateralPeering) {
+  std::vector<AsNumber> order(8);
+  std::iota(order.begin(), order.end(), 1);
+  GraphConfig cfg;
+  ASSERT_GE(cfg.extra_peering_fraction * 8, 1.0);
+  const auto g = generate_graph(order, cfg);
+  EXPECT_EQ(g.as_count(), 8u);
+  for (AsNumber as = 1; as <= 8; ++as) {
+    EXPECT_EQ(g.peers_of(as).size(), 7u) << "AS " << as;
+    EXPECT_TRUE(g.providers_of(as).empty()) << "AS " << as;
+    EXPECT_TRUE(g.customers_of(as).empty()) << "AS " << as;
+  }
+}
+
 }  // namespace
 }  // namespace discs

@@ -3,12 +3,14 @@
 // generator) is pushed through structure-aware mutations — byte flips,
 // truncations, extensions, and cross-frame splices — plus pure random
 // garbage. Run under ASan/UBSan it hunts for memory errors; in any build
-// it enforces the codec's two safety properties on every input:
+// it enforces the codec's three properties on every input:
 //
 //   1. decode never crashes, whatever the bytes;
 //   2. anything decode accepts re-encodes canonically — encode(decoded)
 //      succeeds and decodes back to an identical envelope (no
-//      mis-accepted frame can smuggle divergent state between peers).
+//      mis-accepted frame can smuggle divergent state between peers);
+//   3. for anything decode accepts, encoded_size equals the length the
+//      encoder produces.
 //
 // Everything is derived from --seed, so a failure reproduces exactly; the
 // offending buffer is hex-dumped for a regression test. Exit 0 = clean,
@@ -67,6 +69,13 @@ void check(const std::vector<std::uint8_t>& bytes, std::uint64_t seed,
   if (!again) fail("re-encoding does not decode", bytes, seed, iter);
   if (!(*again == *decoded)) {
     fail("re-encode round trip diverged", bytes, seed, iter);
+  }
+  // Property 3: encoded_size agrees with the encoder (which it mirrors
+  // without building bytes) on the envelope minus its trace extension.
+  Envelope bare = *decoded;
+  bare.trace.reset();
+  if (encoded_size(bare.message) != encode_envelope(bare).size()) {
+    fail("encoded_size disagrees with encode_envelope", bytes, seed, iter);
   }
 }
 
