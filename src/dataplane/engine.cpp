@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "common/rng.hpp"
 #include "crypto/aes_backend.hpp"
@@ -446,11 +447,32 @@ void DataPlaneEngine::drain_sinks() {
 }
 
 TableEpoch DataPlaneEngine::apply(const TableTransaction& txn, SimTime now) {
-  // The writer lock IS the quiesce: a batch holds the reader lock from
-  // fan-out until every ring drained, so once we own the lock all workers
-  // are parked and every ring is empty — no joins, no thread churn.
-  std::unique_lock lock(mutex_);
-  return txn.apply(*tables_, now);
+  using Clock = std::chrono::steady_clock;
+  // Prepare reads the tables without mutex_, so no other commit may land
+  // between it and ours.
+  const std::lock_guard applier(apply_mutex_);
+  const Clock::time_point start = Clock::now();
+  TableTransaction::Prepared prepared = txn.prepare(*tables_);
+  const Clock::duration prepare_time = Clock::now() - start;
+  TableEpoch epoch = 0;
+  Clock::duration hold_time{};
+  Telemetry telem;  // copied under the lock, where bind_metrics writes it
+  {
+    // The writer lock IS the quiesce: a batch holds the reader lock from
+    // fan-out until every ring drained, so once we own the lock all workers
+    // are parked and every ring is empty — no joins, no thread churn.
+    std::unique_lock lock(mutex_);
+    const Clock::time_point locked = Clock::now();
+    epoch = txn.commit(*tables_, std::move(prepared), now);
+    telem = telem_;
+    hold_time = Clock::now() - locked;
+  }
+  if (telem.apply_prepare != nullptr) {
+    using Seconds = std::chrono::duration<double>;
+    telem.apply_prepare->record(Seconds(prepare_time).count());
+    telem.apply_lock_hold->record(Seconds(hold_time).count());
+  }
+  return epoch;  // `prepared` now holds the retired forms; freed unlocked
 }
 
 void DataPlaneEngine::set_alarm_mode(bool on) {
@@ -525,6 +547,21 @@ void DataPlaneEngine::bind_metrics(telemetry::MetricsRegistry& registry,
   t.queue_depth = &registry.histogram(
       "discs_engine_shard_queue_depth", telemetry::Histogram::pow2_bounds(17),
       "Packets hashed onto one shard within one batch", labels);
+  // Seconds, 1 µs .. 1 s: a commit is µs of op edits, a prepare that
+  // rebuilds a DIR-24 Pfx2AS table tens of ms.
+  const std::vector<double> apply_bounds = {
+      1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3,
+      2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0};
+  t.apply_prepare = &registry.histogram(
+      "discs_engine_apply_prepare_seconds", apply_bounds,
+      "Seconds apply() spends preparing a transaction (compiling the prefix "
+      "tables it changes) without the engine lock",
+      labels);
+  t.apply_lock_hold = &registry.histogram(
+      "discs_engine_apply_lock_hold_seconds", apply_bounds,
+      "Seconds apply() holds the engine writer lock to commit a transaction "
+      "(batches wait this long at most)",
+      labels);
   telemetry::Histogram& occupancy = registry.histogram(
       "discs_engine_cmac_batch_occupancy", telemetry::Histogram::pow2_bounds(17),
       "Deferred AES-CMAC computations per batch flush", labels);
@@ -564,7 +601,7 @@ void DataPlaneEngine::bind_metrics(telemetry::MetricsRegistry& registry,
         emit("discs_engine_work_chunks_total", w.chunks);
         // LPM footprint gauges: the sealed flat-array bytes vs the
         // build-representation trie bytes (reader lock — a transaction
-        // apply may be recompiling the flat form).
+        // commit may be swapping the flat forms).
         std::size_t compiled_bytes = 0;
         std::size_t trie_bytes = 0;
         {

@@ -25,11 +25,14 @@
 //  * process_outbound/process_inbound are called from ONE consumer thread
 //    at a time; internally they feed the persistent workers.
 //  * Table mutations (deploy/undeploy, re-keying, Pfx2AS refresh) must go
-//    through apply(TableTransaction), which quiesces the rings by taking
-//    the writer lock: a batch holds the reader lock from fan-out until
-//    every ring has drained, so the writer only ever runs between batches,
-//    with all workers parked and every ring empty. No batch ever sees a
-//    half-applied update.
+//    through apply(TableTransaction). Appliers are serialized by their own
+//    mutex. Each first prepares without the engine lock — compiling any
+//    prefix table the transaction changes while batches keep reading the
+//    live forms — then commits under the writer lock, which quiesces the
+//    rings: a batch holds the reader lock from fan-out until every ring
+//    has drained, so the commit (op edits plus pointer-sized swaps, never
+//    a compile) only ever runs between batches, with all workers parked
+//    and every ring empty. No batch ever sees a half-applied update.
 //  * Sinks (alarm samples, ICMPv6 PTB, traffic observations, flow reports)
 //    are collected per shard during the batch and drained on the calling
 //    thread after the rings quiesce — callbacks never run concurrently.
@@ -40,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <thread>
@@ -165,10 +169,12 @@ class DataPlaneEngine {
                        std::span<const std::uint32_t> indices,
                        std::span<Verdict> verdicts, SimTime now);
 
-  /// Applies a TableTransaction atomically: writer lock (rings quiesced,
-  /// workers parked), every op in order, one epoch bump. Returns the new
-  /// table epoch. This is the con-rou delivery endpoint and the only safe
-  /// way to change tables, sealed or not, while the engine is live.
+  /// Applies a TableTransaction atomically: prepare off-lock, then commit
+  /// under the writer lock (rings quiesced, workers parked) — every op in
+  /// order, the prepared forms swapped in, one epoch bump. Returns the new
+  /// table epoch; the retired forms are freed after the unlock. This is the
+  /// con-rou delivery endpoint and the only safe way to change tables,
+  /// sealed or not, while the engine is live.
   TableEpoch apply(const TableTransaction& txn, SimTime now);
 
   /// Alarm mode (§IV-F) on every shard: identified spoofing is sampled and
@@ -186,8 +192,9 @@ class DataPlaneEngine {
   /// Registers this engine's metrics into `registry` (idempotent;
   /// re-binding replaces the previous binding): per-verdict sharded
   /// counters, batch-size / per-shard queue-depth / CMAC-batch-occupancy
-  /// histograms, an AES-backend info gauge, and a pull-mode view over the
-  /// merged RouterStats + the worker protocol counters (parks, doorbell
+  /// histograms, apply() prepare-time and writer-lock-hold histograms, an
+  /// AES-backend info gauge, and a pull-mode view over the merged
+  /// RouterStats + the worker protocol counters (parks, doorbell
   /// wakeups, ring-full stalls, chunks) + the LPM footprint gauges, all
   /// under `labels` (add e.g. {"as", "7"} to disambiguate engines). The
   /// hot-path cost when bound is one relaxed atomic add per packet plus a
@@ -276,6 +283,8 @@ class DataPlaneEngine {
     telemetry::ShardedCounter* verdicts[4] = {};  // indexed by Verdict
     telemetry::Histogram* batch_size = nullptr;
     telemetry::Histogram* queue_depth = nullptr;
+    telemetry::Histogram* apply_prepare = nullptr;
+    telemetry::Histogram* apply_lock_hold = nullptr;
     telemetry::MetricsRegistry::CollectorId collector = 0;
   };
 
@@ -300,6 +309,7 @@ class DataPlaneEngine {
   RouterTables* tables_;
   EngineConfig config_;
   mutable std::shared_mutex mutex_;  // shared: batch; unique: update/stats
+  std::mutex apply_mutex_;  // one applier at a time; taken before mutex_
   std::vector<std::unique_ptr<Shard>> shards_;
   std::function<void(const AlarmSample&)> alarm_sink_;
   std::function<void(Ipv6Packet)> icmp6_sink_;

@@ -41,7 +41,7 @@ class TableWriteGuard {
   [[nodiscard]] bool sealed() const { return sealed_; }
   [[nodiscard]] bool write_allowed() const { return !sealed_ || depth_ > 0; }
 
-  /// RAII write scope; opened only by TableTransaction::apply (which runs
+  /// RAII write scope; opened only by TableTransaction::commit (which runs
   /// under the engine's writer lock, so `depth_` needs no synchronization).
   class Scope {
    public:
@@ -91,14 +91,44 @@ using FunctionSet = std::uint8_t;
   return (set & to_mask(f)) != 0;
 }
 
+/// Pending inserts into one table's tries, per address family, in op order.
+template <typename Value>
+struct FamilyOverlay {
+  TrieEntries<Ipv4Key, Value> v4;
+  TrieEntries<Ipv6Key, Value> v6;
+
+  auto& of(const Prefix4&) { return v4; }
+  auto& of(const Prefix6&) { return v6; }
+};
+
+/// A table's next compiled forms, built by TableTransaction::prepare off
+/// the engine lock and swapped in by its commit. A family left empty keeps
+/// its live form; after the swap the slots hold the retired forms.
+template <typename Compiled4, typename Compiled6>
+struct NextCompiled {
+  std::optional<Compiled4> v4;
+  std::optional<Compiled6> v6;
+
+  /// Swaps the carried forms with the live `c4`/`c6`; false if none.
+  bool swap_with(Compiled4& c4, Compiled6& c6) {
+    if (v4) std::swap(c4, *v4);
+    if (v6) std::swap(c6, *v6);
+    return v4 || v6;
+  }
+};
+
 /// Maps an address to its origin AS (longest prefix match). This is the
 /// router-resident projection of the controller's RPKI-derived mapping.
 ///
 /// The tries are the mutable build representation; RouterTables::seal()
-/// (and every transaction apply thereafter) compiles them into immutable
-/// flat arrays (lpm/flat.hpp) that lookups prefer once present.
+/// compiles them into immutable flat arrays (lpm/flat.hpp) that lookups
+/// prefer once present, and each transaction that maps a prefix on sealed
+/// tables swaps in a freshly built form (prepare/commit, transaction.hpp).
 class Pfx2AsTable {
  public:
+  using Next = NextCompiled<CompiledLpm<Ipv4Key, AsNumber>,
+                            CompiledLpm<Ipv6Key, AsNumber>>;
+
   void add(const Prefix4& prefix, AsNumber as) {
     detail::check_guard(guard_, "pfx2as");
     v4_.insert(prefix, as);
@@ -138,12 +168,33 @@ class Pfx2AsTable {
 
  private:
   friend struct RouterTables;
+  friend class TableTransaction;
 
-  void compile_if_stale() {
-    if (compiled_) return;
-    c4_.build(v4_);
-    c6_.build(v6_);
-    compiled_ = true;
+  /// The one builder, shared by seal() and prepare: the compiled form of
+  /// `trie` as if `overlay` were inserted in order. Reads the trie only.
+  template <typename Traits>
+  static CompiledLpm<Traits, AsNumber> build(
+      const BinaryTrie<Traits, AsNumber>& trie,
+      TrieEntries<Traits, AsNumber> overlay) {
+    CompiledLpm<Traits, AsNumber> compiled;
+    compiled.build(entries_after(trie, std::move(overlay)));
+    return compiled;
+  }
+  /// The next form of every family `mapped` touches (prepare step).
+  [[nodiscard]] Next prepare(FamilyOverlay<AsNumber> mapped) const {
+    Next next;
+    if (!mapped.v4.empty()) next.v4 = build(v4_, std::move(mapped.v4));
+    if (!mapped.v6.empty()) next.v6 = build(v6_, std::move(mapped.v6));
+    return next;
+  }
+  /// Swaps in the forms `next` carries; the retired ones go back into it.
+  void swap_compiled(Next& next) {
+    if (next.swap_with(c4_, c6_)) compiled_ = true;
+  }
+  /// Compiles both families from the tries (RouterTables::seal).
+  void compile() {
+    Next next{build(v4_, {}), build(v6_, {})};
+    swap_compiled(next);
   }
 
   Lpm4<AsNumber> v4_;
@@ -232,6 +283,8 @@ struct FunctionMatch {
 /// One of In-Src / In-Dst / Out-Src / Out-Dst: prefix -> active functions.
 class FunctionTable {
  public:
+  using Next = NextCompiled<CompiledMatcher<Ipv4Key>, CompiledMatcher<Ipv6Key>>;
+
   /// Tolerance interval applied at both ends of every crypto-verify window.
   explicit FunctionTable(SimTime tolerance = 2 * kSecond)
       : tolerance_(tolerance) {}
@@ -306,23 +359,64 @@ class FunctionTable {
   template <typename Visit>
   FunctionMatch scan_windows(Visit&& visit, SimTime now) const;
 
-  /// Compiles the prefix structure. Windows stay mutable after sealing —
-  /// the compiled matcher yields entries_ indices, and install() on an
-  /// existing prefix or expire() only touch windows, so neither invalidates
-  /// the compiled form. Only a new-prefix insert marks it stale.
-  void compile_if_stale() {
-    if (compiled_) return;
+  // Compiled forms cover the prefix structure only. Windows stay mutable
+  // after sealing — the compiled matcher yields entries_ indices, and
+  // install() on an existing prefix or expire() only touch windows, so
+  // neither invalidates the compiled form. Only a new prefix needs a build.
+
+  /// The one builder, shared by seal() and prepare: the compiled form of a
+  /// family's trie as if `overlay` (new prefixes with the entries_ index
+  /// install() will give them) were inserted. Reads the trie only.
+  static CompiledMatcher<Ipv4Key> build(
+      const Lpm4<std::uint32_t>& trie,
+      TrieEntries<Ipv4Key, std::uint32_t> overlay) {
+    auto entries = entries_after(trie, std::move(overlay));
     // Function tables hold few prefixes but sit on the per-packet hot path,
     // so depth beats density: a 16-bit v4 root (256 KiB) resolves the
     // typical /9../16 invocation in one load and a /24 in two, where the
     // count-based default (8-bit root) would chain 2-3 spill groups.
     // Empty tables keep the default — their lookups never reach the root.
-    c4_.build(v4_, v4_.size() > 0 ? 16 : 0);
-    c6_.build(v6_);
-    compiled_ = true;
+    const unsigned root_bits = entries.empty() ? 0 : 16;
+    CompiledMatcher<Ipv4Key> compiled;
+    compiled.build(std::move(entries), root_bits);
+    return compiled;
+  }
+  static CompiledMatcher<Ipv6Key> build(
+      const Lpm6<std::uint32_t>& trie,
+      TrieEntries<Ipv6Key, std::uint32_t> overlay) {
+    CompiledMatcher<Ipv6Key> compiled;
+    compiled.build(entries_after(trie, std::move(overlay)));
+    return compiled;
+  }
+  /// The next form of every family `grown` adds prefixes to (prepare step).
+  [[nodiscard]] Next prepare(FamilyOverlay<std::uint32_t> grown) const {
+    Next next;
+    if (!grown.v4.empty()) next.v4 = build(v4_, std::move(grown.v4));
+    if (!grown.v6.empty()) next.v6 = build(v6_, std::move(grown.v6));
+    return next;
+  }
+  /// Swaps in the forms `next` carries; the retired ones go back into it.
+  void swap_compiled(Next& next) {
+    if (next.swap_with(c4_, c6_)) compiled_ = true;
+  }
+  /// Compiles both families from the tries (RouterTables::seal).
+  void compile() {
+    Next next{build(v4_, {}), build(v6_, {})};
+    swap_compiled(next);
+  }
+  [[nodiscard]] bool has_prefix(const Prefix4& p) const {
+    return v4_.find_exact(p) != nullptr;
+  }
+  [[nodiscard]] bool has_prefix(const Prefix6& p) const {
+    return v6_.find_exact(p) != nullptr;
+  }
+  /// Handle the next new prefix gets from install().
+  [[nodiscard]] std::uint32_t next_handle() const {
+    return static_cast<std::uint32_t>(entries_.size());
   }
 
   friend struct RouterTables;
+  friend class TableTransaction;
   SimTime tolerance_;
   // Values are indices into entries_ so windows can be mutated after insert.
   Lpm4<std::uint32_t> v4_;
@@ -338,8 +432,8 @@ class FunctionTable {
 ///
 /// Sub-tables are born unguarded so tests and benches can populate them
 /// directly. A controller calls `seal()` once its bootstrap transaction is
-/// applied; from then on the only mutation path is TableTransaction::apply
-/// (any other write aborts — see TableWriteGuard).
+/// applied; from then on the only mutation path is a TableTransaction's
+/// commit (any other write aborts — see TableWriteGuard).
 struct RouterTables {
   RouterTables() { bind_guards(); }
   /// Constructs all four function tables with the given tolerance interval.
@@ -355,15 +449,26 @@ struct RouterTables {
 
   /// Freezes the tables: all further writes must come through a
   /// TableTransaction. Sealing also compiles every LPM-backed sub-table
-  /// into its immutable flat-array form (lpm/flat.hpp); transaction applies
-  /// that mutate prefix structure recompile the affected tables.
+  /// into its immutable flat-array form (lpm/flat.hpp) with the same
+  /// builder a transaction's prepare step uses; from then on a transaction
+  /// that changes prefix structure builds the affected forms off-lock and
+  /// its commit swaps them in — a sealed table is never compiled in place.
   void seal() {
     guard_.seal();
-    recompile();
+    pfx2as.compile();
+    in_src.compile();
+    in_dst.compile();
+    out_src.compile();
+    out_dst.compile();
   }
   [[nodiscard]] bool sealed() const { return guard_.sealed(); }
   /// Epoch of the last transaction applied (0 = none yet).
   [[nodiscard]] TableEpoch applied_epoch() const { return epoch_; }
+  /// Invocation windows across all four function tables.
+  [[nodiscard]] std::size_t window_count() const {
+    return in_src.window_count() + in_dst.window_count() +
+           out_src.window_count() + out_dst.window_count();
+  }
 
   /// Footprint of the sealed flat engines across all sub-tables (0 until
   /// sealed). Telemetry exposes this as discs_lpm_compiled_bytes.
@@ -388,18 +493,6 @@ struct RouterTables {
 
  private:
   friend class TableTransaction;
-
-  /// Recompiles any stale sub-table into its flat form. No-op until sealed;
-  /// TableTransaction::apply calls this (under the engine writer lock) so
-  /// sealed lookups never see the slow path.
-  void recompile() {
-    if (!guard_.sealed()) return;
-    pfx2as.compile_if_stale();
-    in_src.compile_if_stale();
-    in_dst.compile_if_stale();
-    out_src.compile_if_stale();
-    out_dst.compile_if_stale();
-  }
 
   void bind_guards() {
     pfx2as.guard_ = &guard_;

@@ -1,6 +1,9 @@
 #include "dataplane/transaction.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <unordered_set>
 
 namespace discs {
 
@@ -84,7 +87,8 @@ bool TableTransaction::installs_functions() const {
 
 namespace {
 
-FunctionTable& direction_table(RouterTables& tables, FunctionDirection dir) {
+template <typename Tables>
+auto& direction_table(Tables& tables, FunctionDirection dir) {
   switch (dir) {
     case FunctionDirection::kInSrc:
       return tables.in_src;
@@ -98,9 +102,68 @@ FunctionTable& direction_table(RouterTables& tables, FunctionDirection dir) {
   return tables.in_src;  // unreachable
 }
 
+constexpr std::array<FunctionDirection, 4> kDirections = {
+    FunctionDirection::kInSrc, FunctionDirection::kInDst,
+    FunctionDirection::kOutSrc, FunctionDirection::kOutDst};
+
+[[noreturn]] void stale_prepare(TableEpoch prepared, TableEpoch live) {
+  std::fprintf(stderr,
+               "discs: commit of a transaction prepared at table epoch %llu "
+               "onto tables at epoch %llu; another transaction applied in "
+               "between, so the prepared tables are stale\n",
+               static_cast<unsigned long long>(prepared),
+               static_cast<unsigned long long>(live));
+  std::abort();
+}
+
 }  // namespace
 
-TableEpoch TableTransaction::apply(RouterTables& tables, SimTime now) const {
+TableTransaction::Prepared TableTransaction::prepare(
+    const RouterTables& tables) const {
+  Prepared prepared;
+  prepared.epoch = tables.applied_epoch();
+  // Unsealed tables look up through the tries; there is nothing to build.
+  if (!tables.sealed()) return prepared;
+
+  FamilyOverlay<AsNumber> mapped;
+  // Per function table: the prefixes it gains, each with the entries_
+  // index install() will give it at commit, in op order.
+  std::array<FamilyOverlay<std::uint32_t>, 4> grown;
+  std::array<std::unordered_set<AnyPrefix>, 4> seen;
+  std::array<std::uint32_t, 4> next_handle{};
+  for (const FunctionDirection dir : kDirections) {
+    next_handle[static_cast<std::size_t>(dir)] =
+        direction_table(tables, dir).next_handle();
+  }
+  for (const Op& op : ops_) {
+    if (const auto* map = std::get_if<MapPrefixOp>(&op)) {
+      std::visit([&](const auto& p) { mapped.of(p).emplace_back(p, map->as); },
+                 map->prefix);
+    } else if (const auto* install = std::get_if<InstallOp>(&op)) {
+      const auto d = static_cast<std::size_t>(install->dir);
+      const FunctionTable& table = direction_table(tables, install->dir);
+      std::visit(
+          [&](const auto& p) {
+            if (table.has_prefix(p) || !seen[d].insert(p).second) return;
+            grown[d].of(p).emplace_back(p, next_handle[d]++);
+          },
+          install->prefix);
+    }
+  }
+  prepared.pfx2as = tables.pfx2as.prepare(std::move(mapped));
+  for (const FunctionDirection dir : kDirections) {
+    const auto d = static_cast<std::size_t>(dir);
+    prepared.functions[d] =
+        direction_table(tables, dir).prepare(std::move(grown[d]));
+  }
+  return prepared;
+}
+
+TableEpoch TableTransaction::commit(RouterTables& tables, Prepared&& prepared,
+                                    SimTime now) const {
+  if (prepared.epoch != tables.epoch_) {
+    stale_prepare(prepared.epoch, tables.epoch_);
+  }
   const TableWriteGuard::Scope scope(tables.guard_);
   for (const Op& op : ops_) {
     std::visit(
@@ -136,11 +199,18 @@ TableEpoch TableTransaction::apply(RouterTables& tables, SimTime now) const {
         },
         op);
   }
-  // Ops that changed prefix structure marked their tables stale; rebuild
-  // the sealed flat engines before readers resume (we run under the engine
-  // writer lock, so no lookup can observe the stale window).
-  tables.recompile();
+  // The ops marked every table whose prefix structure grew stale; prepare
+  // built exactly those forms, so the swap leaves the sealed tables whole.
+  tables.pfx2as.swap_compiled(prepared.pfx2as);
+  for (const FunctionDirection dir : kDirections) {
+    direction_table(tables, dir)
+        .swap_compiled(prepared.functions[static_cast<std::size_t>(dir)]);
+  }
   return ++tables.epoch_;
+}
+
+TableEpoch TableTransaction::apply(RouterTables& tables, SimTime now) const {
+  return commit(tables, prepare(tables), now);
 }
 
 }  // namespace discs

@@ -3,18 +3,30 @@
 // tables). This is the *only* way a sealed RouterTables changes, and the
 // only way a live engine's tables change at all — the controller composes
 // one transaction per con-rou message (paper §IV-B) and the channel delivers
-// it atomically to the data-plane engine, which applies it under its writer
-// lock with a single epoch bump.
+// it atomically to the data-plane engine with a single epoch bump.
+//
+// Applying is two steps, so no compile ever runs under the engine's writer
+// lock:
+//  - prepare: reads the live tables (no lock; readers keep forwarding) and
+//    builds the compiled form of every sealed prefix table the ops change —
+//    Pfx2AS for each family a map_prefix touches, a function table for each
+//    family it gains a prefix in. Key, window and expiry ops prepare nothing.
+//  - commit: under the writer lock, applies the ops to the tries and the
+//    key/window tables, swaps the prepared forms in, and bumps the epoch.
+//    It aborts if the tables moved since prepare; the retired forms go back
+//    to the caller to free after unlocking.
+// `apply` is commit(prepare()) for callers that hold no lock.
 //
 // Function installs come in two flavours:
 //  - duration-relative (`install_function`): the window is computed at
-//    *apply* time as [now, now + duration). This models the paper's
+//    *commit* time as [now, now + duration). This models the paper's
 //    semantics that an invocation window starts when the router installs
 //    the entry, i.e. after con-rou latency, not when the controller sent it.
 //  - absolute (`install_function_window`): explicit [start, end), for
 //    callers that already resolved the window.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <variant>
 #include <vector>
@@ -71,9 +83,30 @@ class TableTransaction {
   /// True when the transaction installs at least one function window.
   [[nodiscard]] bool installs_functions() const;
 
-  /// Applies every operation atomically (callers serialize via the engine's
-  /// writer lock), bumps the tables' epoch, and returns the new epoch. The
-  /// write scope this opens is what lets sealed tables accept the writes.
+  /// The compiled forms one transaction needs, built by prepare() without
+  /// the engine lock. Empty, and allocation-free, when the transaction
+  /// changes no prefix structure. After commit() it holds the retired
+  /// forms, whose destruction (a 64 MiB munmap for a DIR-24 root) belongs
+  /// outside the lock.
+  struct Prepared {
+    TableEpoch epoch = 0;  // tables.applied_epoch() when prepared
+    Pfx2AsTable::Next pfx2as;
+    std::array<FunctionTable::Next, 4> functions;  // by FunctionDirection
+  };
+
+  /// Builds the compiled forms the ops need against `tables` as they are
+  /// now. Only reads: safe beside readers, never beside another writer.
+  [[nodiscard]] Prepared prepare(const RouterTables& tables) const;
+
+  /// Applies every operation (callers serialize via the engine's writer
+  /// lock), swaps in `prepared`'s forms, bumps the tables' epoch, and
+  /// returns the new epoch. Never compiles. Aborts if the epoch moved since
+  /// `prepared` was built. The write scope this opens is what lets sealed
+  /// tables accept the writes.
+  TableEpoch commit(RouterTables& tables, Prepared&& prepared,
+                    SimTime now) const;
+
+  /// commit(tables, prepare(tables), now).
   TableEpoch apply(RouterTables& tables, SimTime now) const;
 
  private:

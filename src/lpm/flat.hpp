@@ -1,7 +1,12 @@
 // Sealed flat-array LPM engines — the immutable lookup substrate compiled
-// from the build-time tries at RouterTables::seal() / transaction-apply
-// time, so shard workers do raw array loads instead of probing a per-shard
-// cache in front of a pointer-chasing trie.
+// from the build-time tries, so shard workers do raw array loads instead of
+// probing a per-shard cache in front of a pointer-chasing trie.
+//
+// A compiled form is never edited in place. RouterTables::seal() builds the
+// first one; after that a transaction builds the next one off to the side,
+// without the engine's writer lock (`entries_after` overlays the pending
+// ops on the live trie's entries), and the commit swaps it in under the
+// lock. Every build goes through the same `build(entries)` entry point.
 //
 // Layout: a direct-indexed root array over the first `root_bits` address
 // bits plus chained 256-entry spill groups, one per additional address byte.
@@ -30,7 +35,8 @@
 //
 // The tries remain the mutable build representation and the differential
 // oracle — tests/lpm/lpm_test.cpp pits these engines against BinaryTrie
-// over fuzzer-drawn prefix sets.
+// over fuzzer-drawn prefix sets, and tests/dataplane/transaction_test.cpp
+// pits prepared-and-swapped tables against an uncompiled twin.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +49,49 @@
 #include "lpm/lpm.hpp"
 
 namespace discs {
+
+/// A trie's (prefix, value) pairs, ascending — the order visit_entries
+/// yields (a prefix sorts before its refinements, the 0-branch before the
+/// 1-branch, which is exactly Prefix ordering).
+template <typename Traits, typename Value>
+using TrieEntries = std::vector<std::pair<typename Traits::Prefix, Value>>;
+
+/// The entries `trie` would hold after inserting `overlay` in order (a later
+/// pair for the same prefix wins, as BinaryTrie::insert overwrites), built
+/// without touching the trie. This is how a transaction compiles the next
+/// form of a table while readers still use the live one. Ascending order.
+template <typename Traits, typename Value>
+TrieEntries<Traits, Value> entries_after(const BinaryTrie<Traits, Value>& trie,
+                                         TrieEntries<Traits, Value> overlay) {
+  // Last write per prefix wins: stable-sort, then keep each run's last pair.
+  std::stable_sort(
+      overlay.begin(), overlay.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < overlay.size(); ++i) {
+    if (i + 1 < overlay.size() && overlay[i + 1].first == overlay[i].first) {
+      continue;
+    }
+    overlay[kept++] = overlay[i];
+  }
+  overlay.resize(kept);
+
+  TrieEntries<Traits, Value> out;
+  out.reserve(trie.size() + overlay.size());
+  auto next = overlay.begin();
+  trie.visit_entries([&](const auto& prefix, const Value& value) {
+    while (next != overlay.end() && next->first < prefix) {
+      out.push_back(*next++);
+    }
+    if (next != overlay.end() && next->first == prefix) {
+      out.push_back(*next++);
+    } else {
+      out.emplace_back(prefix, value);
+    }
+  });
+  out.insert(out.end(), next, overlay.end());
+  return out;
+}
 
 /// Shared flat-array painter + walker. `Traits` is Ipv4Key or Ipv6Key.
 template <typename Traits>
@@ -182,20 +231,20 @@ class CompiledLpm {
   using Address = typename Traits::Address;
   using Prefix = typename Traits::Prefix;
 
-  /// Compiles `trie` into the flat form. O(painted slots); the trie is
-  /// untouched and remains the mutable representation.
-  void build(const BinaryTrie<Traits, Value>& trie, unsigned root_bits = 0) {
+  /// Compiles a set of distinct prefixes (any order) — a trie's entries
+  /// via entries_after() — into the flat form. O(painted slots).
+  void build(TrieEntries<Traits, Value> entries, unsigned root_bits = 0) {
     pool_.clear();
     std::unordered_map<Value, std::uint32_t> interned;
-    std::vector<std::pair<Prefix, std::uint32_t>> entries;
-    entries.reserve(trie.size());
-    trie.visit_entries([&](const Prefix& prefix, const Value& value) {
+    std::vector<std::pair<Prefix, std::uint32_t>> coded;
+    coded.reserve(entries.size());
+    for (const auto& [prefix, value] : entries) {
       auto [it, inserted] = interned.try_emplace(
           value, static_cast<std::uint32_t>(pool_.size() + 1));
       if (inserted) pool_.push_back(value);
-      entries.emplace_back(prefix, it->second);
-    });
-    table_.build(std::move(entries),
+      coded.emplace_back(prefix, it->second);
+    }
+    table_.build(std::move(coded),
                  [](std::uint32_t, std::uint32_t handle) { return handle; },
                  root_bits);
   }
@@ -240,18 +289,15 @@ class CompiledMatcher {
   using Address = typename Traits::Address;
   using Prefix = typename Traits::Prefix;
 
-  void build(const BinaryTrie<Traits, std::uint32_t>& trie,
+  /// Compiles a set of distinct (prefix, handle) pairs (any order); the
+  /// handles are what visit() reports.
+  void build(TrieEntries<Traits, std::uint32_t> entries,
              unsigned root_bits = 0) {
     set_off_ = {0};
     set_data_.clear();
     // Memoized set extension: ranges holding the same code extend to the
     // same new code, keeping the set pool dense.
     std::unordered_map<std::uint64_t, std::uint32_t> memo;
-    std::vector<std::pair<Prefix, std::uint32_t>> entries;
-    entries.reserve(trie.size());
-    trie.visit_entries([&](const Prefix& prefix, std::uint32_t handle) {
-      entries.emplace_back(prefix, handle);
-    });
     table_.build(
         std::move(entries),
         [&](std::uint32_t old_code, std::uint32_t handle) {

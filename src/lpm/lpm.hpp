@@ -112,8 +112,9 @@ class BinaryTrie {
   }
 
   /// Visits every stored (prefix, value) pair depth-first, a prefix before
-  /// any of its refinements. The sealed flat engines (flat.hpp) use this to
-  /// enumerate the build-time trie.
+  /// any of its refinements and the 0-branch before the 1-branch — that is,
+  /// in ascending Prefix order, which entries_after() (flat.hpp) relies on
+  /// to merge pending inserts into the sealed engines' build input.
   template <typename Fn>
   void visit_entries(Fn&& fn) const {
     std::array<std::uint8_t, Traits::kMaxBits / 8> bytes{};

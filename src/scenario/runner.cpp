@@ -8,15 +8,6 @@
 
 namespace discs::scenario {
 
-namespace {
-
-std::size_t tables_window_count(const RouterTables& t) {
-  return t.in_src.window_count() + t.in_dst.window_count() +
-         t.out_src.window_count() + t.out_dst.window_count();
-}
-
-}  // namespace
-
 std::string ScenarioOutcome::to_string() const {
   std::ostringstream out;
   out << "end_time " << format_time(end_time) << "\n";
@@ -192,7 +183,7 @@ Controller* ScenarioRunner::controller(AsNumber as) {
 std::size_t ScenarioRunner::total_windows() const {
   std::size_t windows = 0;
   for (const Controller* c : controllers_) {
-    windows += tables_window_count(c->tables());
+    windows += c->tables().window_count();
   }
   return windows;
 }

@@ -11,6 +11,9 @@
 //  * orphan-free epochs — apply() returns strictly consecutive epochs and
 //    the final table epoch equals the last one returned: no transaction is
 //    ever lost, re-applied, or torn across a batch.
+// apply() prepares without the engine lock and commits under it, so the
+// churn also includes transactions whose prepare compiles new Pfx2AS and
+// function-table forms while the batches read the live ones.
 #include "dataplane/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -173,6 +176,119 @@ TEST(EngineStressTest, ApplyChurnWhileWorkersDrainTinyRings) {
   // number of workers parked at this instant — between 0 and all three.
   EXPECT_GE(ws.parks, ws.wakeups);
   EXPECT_LE(ws.parks - ws.wakeups, 3u);
+}
+
+// Structural churn: every transaction changes prefix structure, so each
+// apply() compiles new forms in prepare — beside 4-shard batches reading
+// the live forms — and swaps them in at commit. The churn touches only
+// prefixes no packet uses (origin changes, new Pfx2AS prefixes, new
+// function prefixes), so every genuine packet must still verify.
+TEST(EngineStressTest, PrepareCompilesBesideBatchesAndCommitsConsecutively) {
+  SealedEnv env;
+  EngineConfig config;
+  config.shards = 4;
+  config.ring_slots = 4;
+  DataPlaneEngine engine(env.victim, kVictimAs, config);
+  engine.start();
+
+  constexpr SimTime kNow = kMinute;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> commits{0};
+  std::vector<TableEpoch> epochs;
+  std::thread churn([&] {
+    Xoshiro256 rng(4242);
+    for (std::uint32_t k = 0; !stop.load(std::memory_order_acquire); ++k) {
+      const auto slot = static_cast<std::uint16_t>(k % 4096);
+      TableTransaction txn;
+      // An origin change on an untrafficked prefix, and a new one beside it.
+      txn.map_prefix(*Prefix4::parse("30.0.0.0/8"),
+                     k % 2 == 0 ? kPeerAs : kVictimAs);
+      txn.map_prefix(Prefix4(Ipv4Address((31u << 24) | (slot << 8)), 24),
+                     static_cast<AsNumber>(300 + rng.below(16)));
+      txn.map_prefix(
+          Prefix6(Ipv6Address::from_groups({0x2001, 0xdb8, 0xcccc, slot, 0, 0,
+                                            0, 0}),
+                  64),
+          kPeerAs);
+      // New function prefixes in two tables, one family each.
+      txn.install_function_window(
+          FunctionDirection::kInSrc,
+          Prefix4(Ipv4Address((40u << 24) | (slot << 8)), 24),
+          DefenseFunction::kCspVerify, 0, kHour);
+      txn.install_function_window(
+          FunctionDirection::kOutDst,
+          Prefix6(Ipv6Address::from_groups({0x2001, 0xdb8, 0xdddd, slot, 0, 0,
+                                            0, 0}),
+                  64),
+          DefenseFunction::kDp, 0, kHour);
+      epochs.push_back(engine.apply(txn, kNow));
+      commits.fetch_add(1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+  });
+
+  // At least 60 batches, and keep going until 32 commits landed among them.
+  BorderRouter stamper(env.peer, kPeerAs, 23);
+  Xoshiro256 rng(99);
+  std::uint64_t processed = 0;
+  for (int b = 0; b < 60 || commits.load(std::memory_order_acquire) < 32;
+       ++b) {
+    PacketBatch batch;
+    while (batch.size() < 256) {
+      if (rng.chance(0.3)) {
+        Ipv6Packet p = Ipv6Packet::make(rand6(rng, 0xaaaa), rand6(rng, 0xbbbb),
+                                        17, std::vector<std::uint8_t>(16));
+        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        batch.add(std::move(p));
+      } else {
+        Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
+                                        rand4(rng, 0x14000000u), IpProto::kUdp,
+                                        std::vector<std::uint8_t>(16));
+        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        batch.add(std::move(p));
+      }
+    }
+    const std::vector<Verdict> verdicts = engine.process_inbound(batch, kNow);
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      ASSERT_EQ(verdicts[i], Verdict::kPass)
+          << "batch " << b << " packet " << i
+          << ": genuine packet dropped beside a structural commit";
+    }
+    processed += verdicts.size();
+  }
+  stop.store(true, std::memory_order_release);
+  churn.join();
+
+  EXPECT_EQ(engine.stats().in_processed, processed);
+  ASSERT_FALSE(epochs.empty());
+  for (std::size_t i = 1; i < epochs.size(); ++i) {
+    ASSERT_EQ(epochs[i], epochs[i - 1] + 1) << "epoch " << i;
+  }
+  EXPECT_EQ(env.victim.applied_epoch(), epochs.back());
+  // The last commit's forms are live: its new prefixes resolve.
+  const auto last = static_cast<std::uint32_t>((epochs.size() - 1) % 4096);
+  EXPECT_NE(env.victim.in_src
+                .lookup(Ipv4Address((40u << 24) | (last << 8) | 1), kNow)
+                .functions,
+            0);
+}
+
+using EngineStressDeathTest = ::testing::Test;
+
+// A Prepared is only valid against the table epoch it was built at: a
+// commit after another transaction landed in between must abort rather
+// than swap in forms that lack that transaction's prefixes.
+TEST(EngineStressDeathTest, CommitOfAStalePrepareAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SealedEnv env;
+  TableTransaction late;
+  late.map_prefix(*Prefix4::parse("30.0.0.0/8"), kPeerAs);
+  TableTransaction::Prepared prepared = late.prepare(env.victim);
+  TableTransaction early;
+  early.map_prefix(*Prefix4::parse("31.0.0.0/8"), kPeerAs);
+  early.apply(env.victim, kMinute);
+  EXPECT_DEATH(late.commit(env.victim, std::move(prepared), kMinute),
+               "prepared at table epoch 0 onto tables at epoch 1");
 }
 
 // stop()/start() cycling between batches while a churn thread applies

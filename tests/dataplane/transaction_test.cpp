@@ -1,9 +1,18 @@
 // TableTransaction semantics: batched atomic application, epoch stamping,
-// duration-relative windows, and the sealed-tables writer discipline.
+// duration-relative windows, the sealed-tables writer discipline, and the
+// prepare/commit split (a differential oracle after every commit, and the
+// engine's writer-lock hold against its off-lock prepare).
 #include "dataplane/transaction.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "crypto/cmac.hpp"
 #include "dataplane/engine.hpp"
 
@@ -198,6 +207,268 @@ TEST(TableTransactionTest, EngineAppliesTransactionUnderWriterLock) {
   const auto verdicts = engine.process_outbound(batch, kSecond + kMinute);
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0], Verdict::kDropFiltered);  // src not local under kDp
+}
+
+// ------------------------------------------------ prepare/commit oracle
+
+/// At this many v4 prefixes the compiled Pfx2AS table takes the DIR-24-8
+/// shape (a 2^24-slot root), the one whose rebuild prepare moves off-lock.
+constexpr std::uint32_t kDir24Prefixes = 1u << 16;
+
+Prefix4 dense24(std::uint32_t i) {
+  return Prefix4(Ipv4Address((10u << 24) + (i << 8)), 24);
+}
+
+Prefix4 random_prefix4(Xoshiro256& rng, unsigned min_len) {
+  const auto len = static_cast<unsigned>(min_len + rng.below(33 - min_len));
+  return Prefix4(Ipv4Address(static_cast<std::uint32_t>(rng.next())), len);
+}
+
+/// Under 2001:db8::/32 with few distinct groups, so prefixes nest.
+Ipv6Address random_addr6(Xoshiro256& rng) {
+  auto group = [&] { return static_cast<std::uint16_t>(rng.below(4) << 14); };
+  return Ipv6Address::from_groups({0x2001, 0xdb8, group(), group(), 0, 0,
+                                   static_cast<std::uint16_t>(rng.next()),
+                                   static_cast<std::uint16_t>(rng.next())});
+}
+
+Prefix6 random_prefix6(Xoshiro256& rng) {
+  return Prefix6(random_addr6(rng), static_cast<unsigned>(32 + rng.below(97)));
+}
+
+Ipv4Address inside(const Prefix4& p, Xoshiro256& rng) {
+  const std::uint32_t host = p.length() >= 32 ? 0u : ~0u >> p.length();
+  return Ipv4Address(p.address().bits() |
+                     (static_cast<std::uint32_t>(rng.next()) & host));
+}
+
+Ipv6Address inside(const Prefix6& p, Xoshiro256& rng) {
+  std::array<std::uint8_t, 16> bytes = p.address().bytes();
+  for (unsigned bit = p.length(); bit < 128; ++bit) {
+    if (rng.below(2) != 0) {
+      bytes[bit / 8] |= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+    }
+  }
+  return Ipv6Address(bytes);
+}
+
+constexpr DefenseFunction kAllFunctions[] = {
+    DefenseFunction::kDp,        DefenseFunction::kCdpStamp,
+    DefenseFunction::kCdpVerify, DefenseFunction::kSp,
+    DefenseFunction::kCspStamp,  DefenseFunction::kCspVerify};
+
+/// The first lookup on which `sealed` and its never-sealed `twin` disagree
+/// (Pfx2AS or any of the four function tables), or "" when none does.
+template <typename Address>
+std::string first_mismatch(const RouterTables& sealed, const RouterTables& twin,
+                           const Address& addr, SimTime now) {
+  std::ostringstream out;
+  if (sealed.pfx2as.lookup(addr) != twin.pfx2as.lookup(addr)) {
+    out << "pfx2as " << addr.to_string() << ": sealed "
+        << sealed.pfx2as.lookup(addr) << " trie " << twin.pfx2as.lookup(addr);
+    return out.str();
+  }
+  const std::pair<const FunctionTable*, const FunctionTable*> tables[] = {
+      {&sealed.in_src, &twin.in_src},
+      {&sealed.in_dst, &twin.in_dst},
+      {&sealed.out_src, &twin.out_src},
+      {&sealed.out_dst, &twin.out_dst}};
+  for (std::size_t t = 0; t < 4; ++t) {
+    const FunctionMatch a = tables[t].first->lookup(addr, now);
+    const FunctionMatch b = tables[t].second->lookup(addr, now);
+    if (a.functions != b.functions || a.erase_only != b.erase_only) {
+      out << "function table " << t << " " << addr.to_string() << ": sealed "
+          << int{a.functions} << "/" << a.erase_only << " trie "
+          << int{b.functions} << "/" << b.erase_only;
+      return out.str();
+    }
+  }
+  return {};
+}
+
+/// Sealed DIR-24 tables take a seeded stream of transactions — new
+/// prefixes, origin changes, re-asserts, new and existing function
+/// prefixes, expiries — through prepare/commit, beside an unsealed twin
+/// that takes the same stream on the trie path. After every commit the two
+/// must agree on every touched address and on 4k random ones.
+TEST(TableTransactionTest, PreparedCommitsMatchTheTriePathAfterEveryTxn) {
+  Xoshiro256 rng(20151);
+  RouterTables sealed;
+  RouterTables twin;
+  std::vector<std::pair<Prefix4, AsNumber>> known4;
+  std::vector<std::pair<Prefix6, AsNumber>> known6;
+  std::vector<AnyPrefix> known_functions[4];
+  auto direction = [](std::size_t d) {
+    return static_cast<FunctionDirection>(d);
+  };
+
+  // Setup: a dense DIR-24 Pfx2AS core plus random nesting prefixes of both
+  // families, and a few function prefixes in every table.
+  for (std::uint32_t i = 0; i < kDir24Prefixes + 512; ++i) {
+    known4.emplace_back(dense24(i), 1000 + i % 512);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    known4.emplace_back(random_prefix4(rng, 8), 2000 + rng.below(64));
+  }
+  for (int i = 0; i < 400; ++i) {
+    known6.emplace_back(random_prefix6(rng), 3000 + rng.below(64));
+  }
+  TableTransaction setup;
+  for (const auto& [p, as] : known4) setup.map_prefix(p, as);
+  for (const auto& [p, as] : known6) setup.map_prefix(p, as);
+  for (std::size_t d = 0; d < 4; ++d) {
+    for (int i = 0; i < 24; ++i) {
+      const AnyPrefix p = i % 4 == 0 ? AnyPrefix(random_prefix6(rng))
+                                     : AnyPrefix(random_prefix4(rng, 6));
+      setup.install_function_window(direction(d), p,
+                                    kAllFunctions[rng.below(6)], 0,
+                                    kMinute * (1 + rng.below(30)));
+      known_functions[d].push_back(p);
+    }
+  }
+  setup.apply(sealed, 0);
+  setup.apply(twin, 0);
+  sealed.seal();
+  ASSERT_GE(sealed.pfx2as.compiled_memory_bytes(),
+            (std::size_t{1} << 24) * sizeof(std::uint32_t))
+      << "the sealed Pfx2AS table must take the DIR-24-8 shape";
+
+  SimTime now = 0;
+  for (int step = 0; step < 32; ++step) {
+    now += kMinute;
+    TableTransaction txn;
+    std::vector<AnyPrefix> touched;
+    const std::size_t ops = 1 + rng.below(8);
+    for (std::size_t o = 0; o < ops; ++o) {
+      switch (rng.below(8)) {
+        case 0: {  // new Pfx2AS prefix, v4 or v6
+          if (rng.below(3) == 0) {
+            known6.emplace_back(random_prefix6(rng), 4000 + rng.below(64));
+            txn.map_prefix(known6.back().first, known6.back().second);
+            touched.emplace_back(known6.back().first);
+          } else {
+            known4.emplace_back(random_prefix4(rng, 8), 4000 + rng.below(64));
+            txn.map_prefix(known4.back().first, known4.back().second);
+            touched.emplace_back(known4.back().first);
+          }
+          break;
+        }
+        case 1: {  // origin change of an existing prefix, v4 or v6
+          if (rng.below(3) == 0) {
+            auto& [p, as] = known6[rng.below(known6.size())];
+            as = 5000 + rng.below(64);
+            txn.map_prefix(p, as);
+            touched.emplace_back(p);
+          } else {
+            auto& [p, as] = known4[rng.below(known4.size())];
+            as = 5000 + rng.below(64);
+            txn.map_prefix(p, as);
+            touched.emplace_back(p);
+          }
+          break;
+        }
+        case 2: {  // re-assert an origin, then overwrite it in the same txn
+          const auto& [p, as] = known4[rng.below(known4.size())];
+          txn.map_prefix(p, as);
+          txn.map_prefix(p, 6000);
+          txn.map_prefix(p, as);
+          touched.emplace_back(p);
+          break;
+        }
+        case 3:
+        case 4: {  // new function prefix, sometimes installed twice
+          const std::size_t d = rng.below(4);
+          const AnyPrefix p = rng.below(4) == 0
+                                  ? AnyPrefix(random_prefix6(rng))
+                                  : AnyPrefix(random_prefix4(rng, 6));
+          const DefenseFunction f = kAllFunctions[rng.below(6)];
+          txn.install_function(direction(d), p, f,
+                               kMinute * (1 + rng.below(20)));
+          if (rng.below(2) == 0) {
+            txn.install_function_window(direction(d), p,
+                                        kAllFunctions[rng.below(6)], now,
+                                        now + kHour);
+          }
+          known_functions[d].push_back(p);
+          touched.push_back(p);
+          break;
+        }
+        case 5: {  // new window on an existing function prefix
+          const std::size_t d = rng.below(4);
+          const AnyPrefix& p =
+              known_functions[d][rng.below(known_functions[d].size())];
+          txn.install_function_window(direction(d), p,
+                                      kAllFunctions[rng.below(6)],
+                                      now - kMinute, now + 10 * kMinute);
+          touched.push_back(p);
+          break;
+        }
+        case 6:
+          txn.expire_functions();
+          break;
+        case 7:
+          txn.set_stamp_key(static_cast<AsNumber>(rng.below(8)),
+                            derive_key128(rng.next()));
+          break;
+      }
+    }
+    ASSERT_EQ(txn.apply(sealed, now), txn.apply(twin, now));
+    ASSERT_TRUE(sealed.pfx2as.compiled() && sealed.in_src.compiled() &&
+                sealed.in_dst.compiled() && sealed.out_src.compiled() &&
+                sealed.out_dst.compiled())
+        << "step " << step << ": a commit left a sealed table uncompiled";
+    ASSERT_EQ(sealed.window_count(), twin.window_count()) << "step " << step;
+
+    for (const AnyPrefix& prefix : touched) {
+      const std::string diff = std::visit(
+          [&](const auto& p) {
+            const std::string at_base =
+                first_mismatch(sealed, twin, p.address(), now);
+            return at_base.empty()
+                       ? first_mismatch(sealed, twin, inside(p, rng), now)
+                       : at_base;
+          },
+          prefix);
+      ASSERT_TRUE(diff.empty()) << "step " << step << ": " << diff;
+    }
+    for (int i = 0; i < 4096; ++i) {
+      const Ipv4Address addr4(static_cast<std::uint32_t>(rng.next()));
+      const std::string diff =
+          i % 4 == 0 ? first_mismatch(sealed, twin, random_addr6(rng), now)
+                     : first_mismatch(sealed, twin, addr4, now);
+      ASSERT_TRUE(diff.empty()) << "step " << step << ": " << diff;
+    }
+  }
+}
+
+/// The engine's apply() builds a 64-op Pfx2AS refresh of a DIR-24 table
+/// off-lock, so its writer-lock hold is a small fraction of its prepare.
+TEST(TableTransactionTest, EngineHoldsTheWriterLockOnlyToCommit) {
+  RouterTables tables;
+  for (std::uint32_t i = 0; i < kDir24Prefixes; ++i) {
+    tables.pfx2as.add(dense24(i), 1000 + i % 64);
+  }
+  tables.seal();
+  telemetry::MetricsRegistry registry;  // outlives the engine bound to it
+  EngineConfig config;
+  config.shards = 1;
+  DataPlaneEngine engine(tables, 1000, config);
+  engine.bind_metrics(registry);
+
+  TableTransaction txn;
+  for (std::uint32_t i = 0; i < 64; ++i) txn.map_prefix(dense24(i * 997), 7);
+  engine.apply(txn, kSecond);
+  EXPECT_EQ(tables.pfx2as.lookup(dense24(997).address()), 7u);
+
+  const telemetry::Histogram::Snapshot prepare =
+      registry.histogram("discs_engine_apply_prepare_seconds", {}).snapshot();
+  const telemetry::Histogram::Snapshot hold =
+      registry.histogram("discs_engine_apply_lock_hold_seconds", {}).snapshot();
+  ASSERT_EQ(prepare.count, 1u);
+  ASSERT_EQ(hold.count, 1u);
+  EXPECT_GT(prepare.sum, 0.0);
+  EXPECT_LT(hold.sum, prepare.sum / 10)
+      << "lock hold " << hold.sum << " s vs prepare " << prepare.sum << " s";
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ constexpr unsigned kRootBits6[] = {0, 16};
 TEST(CompiledLpmTest, EmptyTrieMissesWithoutTouchingTheRoot) {
   BinaryTrie<Ipv4Key, int> t;
   CompiledLpm<Ipv4Key, int> c;
-  c.build(t);
+  c.build(entries_after(t, {}));
   EXPECT_FALSE(c.lookup(ip4("1.2.3.4")).has_value());
   EXPECT_EQ(c.lookup_or(ip4("1.2.3.4"), -7), -7);
 }
@@ -223,7 +223,7 @@ TEST(CompiledLpmTest, NestedChainAndDefaultRouteMatchTrie) {
   t.insert(pfx4("10.1.2.3/32"), 32);
   for (const unsigned root_bits : kRootBits4) {
     CompiledLpm<Ipv4Key, int> c;
-    c.build(t, root_bits);
+    c.build(entries_after(t, {}), root_bits);
     EXPECT_EQ(c.root_bits(), root_bits == 0 ? 8u : root_bits);
     for (const char* probe :
          {"10.1.2.3", "10.1.2.2", "10.1.2.4", "10.1.3.0", "10.2.0.0",
@@ -242,7 +242,7 @@ TEST(CompiledLpmTest, Ipv6NestedChainMatchesTrie) {
   t.insert(pfx6("2001:db8:1:2::/64"), 64);
   for (const unsigned root_bits : kRootBits6) {
     CompiledLpm<Ipv6Key, int> c;
-    c.build(t, root_bits);
+    c.build(entries_after(t, {}), root_bits);
     for (const char* probe :
          {"2001:db8:1:2::77", "2001:db8:1:3::1", "2001:db8:9::1",
           "2001:db9::1", "::", "ffff::1"}) {
@@ -333,7 +333,7 @@ TEST_P(FlatDifferentialTest, CompiledLpmMatchesBinaryTrie4) {
   }
   for (const unsigned root_bits : kRootBits4) {
     CompiledLpm<Ipv4Key, int> c;
-    c.build(trie, root_bits);
+    c.build(entries_after(trie, {}), root_bits);
     auto check = [&](Ipv4Address a) {
       const auto expected = trie.lookup(a);
       ASSERT_EQ(c.lookup(a), expected)
@@ -358,7 +358,7 @@ TEST_P(FlatDifferentialTest, CompiledLpmMatchesBinaryTrie6) {
   }
   for (const unsigned root_bits : kRootBits6) {
     CompiledLpm<Ipv6Key, int> c;
-    c.build(trie, root_bits);
+    c.build(entries_after(trie, {}), root_bits);
     auto check = [&](const Ipv6Address& a) {
       ASSERT_EQ(c.lookup(a), trie.lookup(a))
           << a.to_string() << " root_bits=" << root_bits;
@@ -383,7 +383,7 @@ TEST_P(FlatDifferentialTest, CompiledMatcherMatchesVisitMatches4) {
   }
   for (const unsigned root_bits : kRootBits4) {
     CompiledMatcher<Ipv4Key> m;
-    m.build(trie, root_bits);
+    m.build(entries_after(trie, {}), root_bits);
     auto check = [&](Ipv4Address a) {
       std::vector<std::uint32_t> expected, got;
       trie.visit_matches(a, [&](std::uint32_t h) { expected.push_back(h); });
@@ -409,7 +409,7 @@ TEST_P(FlatDifferentialTest, CompiledMatcherMatchesVisitMatches6) {
   }
   for (const unsigned root_bits : kRootBits6) {
     CompiledMatcher<Ipv6Key> m;
-    m.build(trie, root_bits);
+    m.build(entries_after(trie, {}), root_bits);
     auto check = [&](const Ipv6Address& a) {
       std::vector<std::uint32_t> expected, got;
       trie.visit_matches(a, [&](std::uint32_t h) { expected.push_back(h); });
@@ -423,10 +423,36 @@ TEST_P(FlatDifferentialTest, CompiledMatcherMatchesVisitMatches6) {
 TEST(FlatDifferentialTest, EmptyMatcherVisitsNothing) {
   BinaryTrie<Ipv4Key, std::uint32_t> trie;
   CompiledMatcher<Ipv4Key> m;
-  m.build(trie);
+  m.build(entries_after(trie, {}));
   int calls = 0;
   m.visit(ip4("1.2.3.4"), [&](std::uint32_t) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+// entries_after() is how a transaction sees a trie before its inserts land:
+// the overlay (re-mapped prefixes, new ones, the same prefix twice) must
+// yield exactly what the trie visits after inserting it in order.
+TEST_P(FlatDifferentialTest, EntriesAfterMatchesTheTrieAfterTheInserts) {
+  Xoshiro256 rng(GetParam());
+  BinaryTrie<Ipv4Key, int> trie;
+  std::vector<Prefix4> rules;
+  for (int r = 0; r < 300; ++r) {
+    rules.push_back(random_prefix4(rng, rules));
+    trie.insert(rules.back(), r);
+  }
+  TrieEntries<Ipv4Key, int> overlay;
+  for (int r = 0; r < 100; ++r) {
+    const Prefix4 p = r % 10 == 9   ? overlay.back().first
+                      : rng.chance(0.5) ? rules[rng.below(rules.size())]
+                                        : random_prefix4(rng, rules);
+    overlay.emplace_back(p, 1000 + r);
+  }
+  const TrieEntries<Ipv4Key, int> merged = entries_after(trie, overlay);
+  for (const auto& [p, value] : overlay) trie.insert(p, value);
+  TrieEntries<Ipv4Key, int> expected;
+  trie.visit_entries(
+      [&](const Prefix4& p, int value) { expected.emplace_back(p, value); });
+  EXPECT_EQ(merged, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatDifferentialTest,

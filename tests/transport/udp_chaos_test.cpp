@@ -100,11 +100,7 @@ class UdpChaosWorld {
 
   [[nodiscard]] std::size_t total_windows() const {
     std::size_t n = 0;
-    for (const auto& c : controllers_) {
-      const RouterTables& t = c->tables();
-      n += t.in_src.window_count() + t.in_dst.window_count() +
-           t.out_src.window_count() + t.out_dst.window_count();
-    }
+    for (const auto& c : controllers_) n += c->tables().window_count();
     return n;
   }
 

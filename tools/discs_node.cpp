@@ -141,12 +141,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-std::size_t window_count(const Controller& c) {
-  const RouterTables& t = c.tables();
-  return t.in_src.window_count() + t.in_dst.window_count() +
-         t.out_src.window_count() + t.out_dst.window_count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -275,7 +269,7 @@ int main(int argc, char** argv) {
     }
     phase("invocation window",
           [&] {
-            return window_count(controller) == 0 &&
+            return controller.tables().window_count() == 0 &&
                    controller.link().pending_count() == 0;
           },
           opt.peer_wait_s * kSecond + opt.window_ms * kMillisecond);
@@ -290,8 +284,10 @@ int main(int argc, char** argv) {
                    opt.expect_invocations;
           },
           opt.peer_wait_s * kSecond);
-    phase("windows expired", [&] { return window_count(controller) == 0; },
-          opt.peer_wait_s * kSecond + opt.window_ms * kMillisecond);
+    phase(
+        "windows expired",
+        [&] { return controller.tables().window_count() == 0; },
+        opt.peer_wait_s * kSecond + opt.window_ms * kMillisecond);
   }
 
   // Linger: answer peers still retransmitting toward us before vanishing
@@ -313,7 +309,7 @@ int main(int argc, char** argv) {
   registry.gauge("discs_node_expected_peers")
       .set(static_cast<std::int64_t>(expected_peers));
   registry.gauge("discs_node_residual_windows")
-      .set(static_cast<std::int64_t>(window_count(controller)));
+      .set(static_cast<std::int64_t>(controller.tables().window_count()));
   registry.gauge("discs_node_interrupted")
       .set(g_signal != 0 ? static_cast<std::int64_t>(g_signal) : 0);
   if (!opt.metrics_file.empty() &&
