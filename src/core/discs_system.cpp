@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace discs {
 
@@ -10,15 +9,51 @@ DiscsSystem::DiscsSystem(Config config)
     : DiscsSystem(generate_dataset(config.internet), config) {}
 
 DiscsSystem::DiscsSystem(InternetDataset dataset, Config config)
+    : DiscsSystem(std::move(dataset), AsGraph{}, config) {}
+
+DiscsSystem::DiscsSystem(InternetDataset dataset, AsGraph graph, Config config)
     : config_(config),
       dataset_(std::move(dataset)),
-      graph_(generate_graph(dataset_.ases_by_space_desc(), config.graph)),
+      // The two-argument form passes an empty graph: generate one.
+      graph_(graph.as_count() != 0
+                 ? std::move(graph)
+                 : generate_graph(dataset_.ases_by_space_desc(), config.graph)),
       channel_(loop_, config.channel_latency),
       bgp_(graph_),
       sampler_(dataset_, derive_seed(config.seed, 0x7af)) {
   if (!config_.fault_plan.lossless()) {
     channel_.set_fault_plan(config_.fault_plan);
   }
+
+  // Dense AS slots: every topology node (slot == node index), then any
+  // dataset origin the topology lacks. Each prefix compiles to the slot of
+  // its first origin, as InternetDataset::origin_of reports it.
+  const std::vector<AsNumber>& nodes = graph_.ases();
+  slots_.reserve(nodes.size());
+  for (std::uint32_t n = 0; n < nodes.size(); ++n) {
+    slots_.push_back(AsSlot{nodes[n], n, nullptr});
+    slot_index_.emplace(nodes[n], n);
+  }
+  const auto slot_for = [&](const std::vector<AsNumber>& origins) {
+    const auto [it, inserted] = slot_index_.try_emplace(
+        origins.front(), static_cast<std::uint32_t>(slots_.size()));
+    if (inserted) slots_.push_back(AsSlot{origins.front(), kNoSlot, nullptr});
+    return it->second;
+  };
+  TrieEntries<Ipv4Key, std::uint32_t> v4;
+  v4.reserve(dataset_.entries().size());
+  for (const PrefixOrigin& e : dataset_.entries()) {
+    v4.emplace_back(e.prefix, slot_for(e.origins));
+  }
+  origin4_.build(std::move(v4));
+  TrieEntries<Ipv6Key, std::uint32_t> v6;
+  v6.reserve(dataset_.entries6().size());
+  for (const PrefixOrigin6& e : dataset_.entries6()) {
+    v6.emplace_back(e.prefix, slot_for(e.origins));
+  }
+  origin6_.build(std::move(v6));
+  route_state_.assign(slots_.size(), 0);
+  inbound_.resize(slots_.size());
 }
 
 Controller& DiscsSystem::deploy(AsNumber as) {
@@ -53,6 +88,7 @@ Controller& DiscsSystem::deploy(AsNumber as) {
   const Prefix4 ad_prefix = own != nullptr ? *own : prefixes.front();
   bgp_.originate(as, ad_prefix, {controller->advertisement().to_attribute()});
   ad_prefix_.emplace(as, ad_prefix);
+  slots_[slot_of(as)].controller = controller.get();
   controllers_.emplace(as, std::move(controller));
 
   distribute_ads();
@@ -63,6 +99,7 @@ void DiscsSystem::undeploy(AsNumber as) {
   const auto it = controllers_.find(as);
   if (it == controllers_.end()) return;
   it->second->shutdown();
+  slots_[slot_of(as)].controller = nullptr;
   controllers_.erase(it);
   // Re-originate the prefix without the Ad so reachability is unaffected;
   // the visible path change flushes the stale attribute from Loc-RIBs.
@@ -129,80 +166,92 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
   return send_batch(origin_as, batch, loop_.now());
 }
 
+bool DiscsSystem::routable(std::uint32_t from_node, std::uint32_t to_node) {
+  const std::uint64_t key = (std::uint64_t{from_node} << 32) | to_node;
+  const auto [it, inserted] = routable_.try_emplace(key, false);
+  if (inserted) {
+    it->second = !graph_.path(slots_[from_node].as, slots_[to_node].as).empty();
+  }
+  return it->second;
+}
+
 std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
                                                     PacketBatch& batch,
                                                     SimTime now) {
   std::vector<DeliveryResult> results(batch.size());
   if (batch.empty()) return results;
-  const bool origin_routable = graph_.contains(origin_as);
+  const std::uint32_t origin = slot_of(origin_as);
+  if (origin == kNoSlot || slots_[origin].node == kNoSlot) {
+    // An origin outside the topology reaches nothing.
+    for (DeliveryResult& r : results) r.outcome = DeliveryOutcome::kUnroutable;
+    return results;
+  }
+  const std::uint32_t origin_node = slots_[origin].node;
 
-  // AS-level paths resolved once per destination AS within the batch (each
-  // path walks the two endpoints' provider ancestry, tens of ASes; a batch
-  // shares few destinations).
-  std::unordered_map<AsNumber, std::vector<AsNumber>> paths;
-  const auto path_to = [&](AsNumber dst) -> const std::vector<AsNumber>& {
-    const auto [it, inserted] = paths.try_emplace(dst);
-    if (inserted) it->second = graph_.path(origin_as, dst);
-    return it->second;
-  };
+  // The previous call's scratch is cleared here rather than on its way out,
+  // so an exception thrown mid-call cannot leak it into this one.
+  for (const std::uint32_t dst : touched_) {
+    route_state_[dst] = 0;
+    inbound_[dst].clear();
+  }
+  touched_.clear();
 
-  std::vector<std::uint32_t> live;  // routable packets, in batch order
-  live.reserve(batch.size());
-  std::vector<AsNumber> dst_of(batch.size(), kNoAs);
+  // Resolve: compiled Pfx2AS to a destination slot, then routability from
+  // the lifetime cache, memoized per destination slot for this call.
+  dst_slot_.assign(batch.size(), kNoSlot);
+  crossing_.clear();
   for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    const AsNumber dst = std::visit(
-        [&](const auto& p) { return dataset_.origin_of(p.header.dst); },
-        batch[i]);
-    if (dst == kNoAs || !origin_routable || !graph_.contains(dst)) {
+    const std::uint32_t dst = std::visit(
+        [&](const auto& p) { return slot_at(p.header.dst); }, batch[i]);
+    if (dst == kNoSlot || slots_[dst].node == kNoSlot) {
       results[i].outcome = DeliveryOutcome::kUnroutable;
       continue;
     }
-    const auto& path = path_to(dst);
-    if (path.empty()) {
+    std::uint8_t& state = route_state_[dst];
+    if (state == 0) {
+      state = routable(origin_node, slots_[dst].node) ? 2 : 1;
+      touched_.push_back(dst);
+    }
+    if (state == 1) {
       results[i].outcome = DeliveryOutcome::kUnroutable;
       continue;
     }
-    results[i].path = path;
-    dst_of[i] = dst;
-    live.push_back(i);
+    dst_slot_[i] = dst;
+    // Intra-AS traffic never crosses a border and skips both stages.
+    if (dst != origin) crossing_.push_back(i);
   }
 
   // Both engine stages run through the scatter view: the batch stays flat
   // and the engines receive index lists into it — packets are stamped and
   // verified in place, never gathered into per-stage sub-batches.
-  std::vector<Verdict> verdicts(batch.size());
+  verdicts_.resize(batch.size());
 
-  // Outbound stage: one engine pass at the origin DAS (intra-AS traffic
-  // never crosses a border and skips both stages).
-  if (Controller* source = controller(origin_as); source != nullptr) {
-    std::vector<std::uint32_t> out_idx;
-    out_idx.reserve(live.size());
-    for (const std::uint32_t i : live) {
-      if (dst_of[i] != origin_as) out_idx.push_back(i);
-    }
-    source->engine().process_outbound(batch.span(), out_idx, verdicts, now);
-    for (const std::uint32_t i : out_idx) {
-      results[i].source_verdict = verdicts[i];
-      if (is_drop(verdicts[i])) {
+  // Outbound stage: one engine pass at the origin DAS.
+  if (Controller* source = slots_[origin].controller; source != nullptr) {
+    source->engine().process_outbound(batch.span(), crossing_, verdicts_, now);
+    for (const std::uint32_t i : crossing_) {
+      results[i].source_verdict = verdicts_[i];
+      if (is_drop(verdicts_[i])) {
         results[i].outcome = DeliveryOutcome::kDroppedAtSource;
       }
     }
   }
 
   // Inbound stage: survivors partitioned by destination DAS, one engine
-  // pass (one index view) per DAS.
-  std::unordered_map<AsNumber, std::vector<std::uint32_t>> by_dst;
-  for (const std::uint32_t i : live) {
+  // pass (one index view) per DAS, in first-seen order.
+  for (const std::uint32_t i : crossing_) {
     if (results[i].outcome == DeliveryOutcome::kDroppedAtSource) continue;
-    const AsNumber dst = dst_of[i];
-    if (dst == origin_as || controller(dst) == nullptr) continue;  // delivered
-    by_dst[dst].push_back(i);
+    const std::uint32_t dst = dst_slot_[i];
+    if (slots_[dst].controller != nullptr) inbound_[dst].push_back(i);
   }
-  for (auto& [dst, idx] : by_dst) {
-    controller(dst)->engine().process_inbound(batch.span(), idx, verdicts, now);
+  for (const std::uint32_t dst : touched_) {
+    const std::vector<std::uint32_t>& idx = inbound_[dst];
+    if (idx.empty()) continue;
+    slots_[dst].controller->engine().process_inbound(batch.span(), idx,
+                                                     verdicts_, now);
     for (const std::uint32_t i : idx) {
-      results[i].destination_verdict = verdicts[i];
-      if (is_drop(verdicts[i])) {
+      results[i].destination_verdict = verdicts_[i];
+      if (is_drop(verdicts_[i])) {
         results[i].outcome = DeliveryOutcome::kDroppedAtDestination;
       }
     }
@@ -224,7 +273,7 @@ Ipv4Packet DiscsSystem::sample_attack_packet(AttackType type,
     // MOAS prefixes can map a role's sampled address into the agent's own
     // AS, turning the flow intra-AS (it would never cross a border);
     // resample those so every reported packet is a real inter-AS attack.
-    const AsNumber dst_as = dataset_.origin_of(packet.header.dst);
+    const AsNumber dst_as = origin_of(packet.header.dst);
     if (dst_as != agent_as && dst_as != kNoAs) return packet;
     flow.innocent = sampler_.sample_as();
   }

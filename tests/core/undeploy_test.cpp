@@ -83,6 +83,49 @@ TEST(TeardownTest, UndeployIsIdempotentAndRedeployable) {
   EXPECT_TRUE(system.controller(order[0])->is_peer(order[1]));
 }
 
+/// An address of `as`'s own space (one no MOAS co-owner maps elsewhere).
+Ipv4Address address_of(const DiscsSystem& system, AsNumber as) {
+  for (const Prefix4& p : system.dataset().prefixes_of(as)) {
+    const Ipv4Address a(p.address().bits() + 1);
+    if (system.dataset().origin_of(a) == as) return a;
+  }
+  ADD_FAILURE() << "AS " << as << " has no address of its own";
+  return {};
+}
+
+TEST(TeardownTest, DestinationStageFollowsDeployAndUndeploy) {
+  // send_batch keeps each destination AS's controller in a per-AS slot for
+  // the system's lifetime; deploy and undeploy must keep it current.
+  DiscsSystem system(small_config());
+  const auto order = system.dataset().ases_by_space_desc();
+  const AsNumber victim = order[0], helper = order[1], legacy = order[2];
+  const auto arm = [&] {
+    system.deploy(victim);
+    system.deploy(helper);  // no-op when already deployed
+    system.settle();
+    system.controller(victim)->invoke_ddos_defense_all(false);
+    system.settle(10 * kSecond);
+  };
+  // Spoofed: claims the helper's space, sent from a legacy AS to the victim.
+  const Ipv4Address src = address_of(system, helper);
+  const Ipv4Address dst = address_of(system, victim);
+  const auto send = [&] {
+    Ipv4Packet packet = Ipv4Packet::make(src, dst, IpProto::kUdp, {1});
+    return system.send_packet(legacy, packet);
+  };
+
+  arm();
+  EXPECT_EQ(send().outcome, DeliveryOutcome::kDroppedAtDestination);
+
+  system.undeploy(victim);
+  const DeliveryResult legacy_victim = send();
+  EXPECT_EQ(legacy_victim.outcome, DeliveryOutcome::kDelivered);
+  EXPECT_EQ(legacy_victim.destination_verdict, Verdict::kPass);
+
+  arm();
+  EXPECT_EQ(send().outcome, DeliveryOutcome::kDroppedAtDestination);
+}
+
 TEST(TeardownTest, RemainingDasesKeepWorkingAfterUndeploy) {
   DiscsSystem system(small_config());
   const auto order = system.dataset().ases_by_space_desc();
