@@ -26,18 +26,21 @@ void ReliableLink::send_reliable(AsNumber to, ControlMessage message,
     // retransmitting a message the protocol has moved past.
     settle_token(to, token);
   }
+  PeerState& peer = peers_[to];
   Envelope envelope{self_, to, std::move(message)};
-  envelope.seq = ++next_seq_[to];
+  envelope.seq = ++peer.next_seq;
   envelope.ack_requested = true;
   envelope.trace = trace;
 
-  const PendingKey key{to, envelope.seq};
+  const PendingKey key = pending_key(to, envelope.seq);
   Pending& p = pending_[key];
   p.envelope = envelope;
   p.token = token;
   p.attempts = 1;
   p.rto = config_.initial_rto;
-  if (token != AckToken::kNone) token_index_[{to, token}] = envelope.seq;
+  if (token != AckToken::kNone) {
+    peer.token_seq[static_cast<std::size_t>(token)] = envelope.seq;
+  }
 
   ++stats_.reliable_sends;
   if (spans_ != nullptr && envelope.trace) {
@@ -52,7 +55,7 @@ void ReliableLink::send_reliable(AsNumber to, ControlMessage message,
 void ReliableLink::send(AsNumber to, ControlMessage message,
                         std::optional<telemetry::TraceContext> trace) {
   Envelope envelope{self_, to, std::move(message)};
-  envelope.seq = ++next_seq_[to];
+  envelope.seq = ++peers_[to].next_seq;
   envelope.trace = trace;
   if (spans_ != nullptr && envelope.trace) {
     spans_->wire_send(to, envelope.seq,
@@ -91,81 +94,85 @@ ReceiveAction ReliableLink::on_receive(const Envelope& envelope) {
 
   if (envelope.seq == 0) return ReceiveAction::kFresh;  // raw sender: no dedup
 
-  PeerRx& rx = rx_[envelope.from];
+  PeerState& peer = peers_[envelope.from];
   if (std::holds_alternative<PeeringRequest>(envelope.message)) {
     // A peering request (re)starts the conversation. Resetting the dedup
     // state lets a restarted peer — whose counters began again at 1 —
     // get through instead of being swallowed as ancient duplicates; the
     // peering handler is idempotent, so replays of the request are safe.
-    rx = PeerRx{};
-    record_seq(rx, envelope.seq);
+    // Our own send-side counter and pending sends toward it survive.
+    peer.floor = 0;
+    peer.ahead.clear();
+    record_seq(peer, envelope.seq);
     return ReceiveAction::kFresh;
   }
-  if (!record_seq(rx, envelope.seq)) {
+  if (!record_seq(peer, envelope.seq)) {
     ++stats_.duplicates_suppressed;
     return ReceiveAction::kDuplicate;
   }
   return ReceiveAction::kFresh;
 }
 
-bool ReliableLink::record_seq(PeerRx& rx, std::uint64_t seq) {
-  if (seq <= rx.floor || rx.ahead.contains(seq)) return false;
-  rx.ahead.insert(seq);
+bool ReliableLink::record_seq(PeerState& peer, std::uint64_t seq) {
+  // In-order arrival with nothing remembered ahead: just move the floor.
+  if (seq == peer.floor + 1 && peer.ahead.empty()) {
+    peer.floor = seq;
+    return true;
+  }
+  if (seq <= peer.floor || peer.ahead.contains(seq)) return false;
+  peer.ahead.insert(seq);
   // Compress: pull the floor up through any now-contiguous run.
-  auto it = rx.ahead.begin();
-  while (it != rx.ahead.end() && *it == rx.floor + 1) {
-    rx.floor = *it;
-    it = rx.ahead.erase(it);
+  auto it = peer.ahead.begin();
+  while (it != peer.ahead.end() && *it == peer.floor + 1) {
+    peer.floor = *it;
+    it = peer.ahead.erase(it);
   }
   // Bound memory: beyond the window, forget the oldest gap (messages below
   // the new floor are treated as seen; with a sane window this only drops
   // seqs that were lost long ago anyway).
-  while (rx.ahead.size() > config_.dedup_window) {
-    rx.floor = std::max(rx.floor, *rx.ahead.begin());
-    rx.ahead.erase(rx.ahead.begin());
+  while (peer.ahead.size() > config_.dedup_window) {
+    peer.floor = std::max(peer.floor, *peer.ahead.begin());
+    peer.ahead.erase(peer.ahead.begin());
   }
   return true;
 }
 
 void ReliableLink::settle_token(AsNumber peer, AckToken token) {
-  const auto idx = token_index_.find({peer, token});
-  if (idx == token_index_.end()) return;
-  const auto it = pending_.find({peer, idx->second});
-  if (it != pending_.end()) erase_pending(it);
+  const auto it = peers_.find(peer);
+  if (it == peers_.end()) return;
+  settle_seq(peer, it->second.token_seq[static_cast<std::size_t>(token)]);
 }
 
 void ReliableLink::settle_seq(AsNumber peer, std::uint64_t seq) {
   if (seq == 0) return;
-  const auto it = pending_.find({peer, seq});
-  if (it != pending_.end()) erase_pending(it);
+  const auto it = pending_.find(pending_key(peer, seq));
+  if (it != pending_.end() && it->second.envelope.seq == seq) erase_pending(it);
 }
 
 void ReliableLink::forget_peer(AsNumber peer) {
-  for (auto it = pending_.lower_bound({peer, 0});
-       it != pending_.end() && it->first.first == peer;) {
-    const auto next = std::next(it);
-    erase_pending(it);
-    it = next;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    it = key_peer(it->first) == peer ? erase_pending(it) : std::next(it);
   }
 }
 
 void ReliableLink::cancel_all() {
   for (auto& [key, p] : pending_) loop_->cancel(p.timer);
   pending_.clear();
-  token_index_.clear();
+  for (auto& [as, peer] : peers_) peer.token_seq.fill(0);
 }
 
-void ReliableLink::erase_pending(std::map<PendingKey, Pending>::iterator it) {
-  loop_->cancel(it->second.timer);
-  if (it->second.token != AckToken::kNone) {
-    const auto idx = token_index_.find({it->first.first, it->second.token});
-    // Only drop the index entry if it still points at this seq (a
-    // superseding send may have repointed it).
-    if (idx != token_index_.end() && idx->second == it->first.second) {
-      token_index_.erase(idx);
-    }
+ReliableLink::PendingMap::iterator ReliableLink::erase_pending(
+    PendingMap::iterator it) {
+  const Pending& p = it->second;
+  loop_->cancel(p.timer);
+  if (p.token != AckToken::kNone) {
+    // Only clear the token slot if it still names this seq (a superseding
+    // send may have repointed it).
+    auto& token_seq = peers_.find(key_peer(it->first))->second.token_seq;
+    std::uint64_t& seq = token_seq[static_cast<std::size_t>(p.token)];
+    if (seq == p.envelope.seq) seq = 0;
   }
-  pending_.erase(it);
+  return pending_.erase(it);
 }
 
 void ReliableLink::arm_timer(PendingKey key) {
@@ -179,7 +186,7 @@ void ReliableLink::on_timeout(PendingKey key) {
   Pending& p = it->second;
   if (p.attempts >= config_.max_retries) {
     ++stats_.delivery_failures;
-    const AsNumber peer = key.first;
+    const AsNumber peer = key_peer(key);
     const AckToken token = p.token;
     erase_pending(it);
     if (on_failure_) on_failure_(peer, token);
@@ -191,7 +198,7 @@ void ReliableLink::on_timeout(PendingKey key) {
     backoff_level_->record(static_cast<double>(p.attempts));
   }
   if (spans_ != nullptr && p.envelope.trace) {
-    spans_->wire_send(key.first, p.envelope.seq,
+    spans_->wire_send(key_peer(key), p.envelope.seq,
                       static_cast<int>(message_type(p.envelope.message)),
                       *p.envelope.trace, loop_->now(), p.attempts);
   }

@@ -23,12 +23,18 @@
 //   * After max_retries unacknowledged transmissions the link gives up,
 //     bumps delivery_failures, and reports the loss to the owner's failure
 //     callback (which e.g. rolls a half-open peering back to kDiscovered).
+//
+// State: one hash-map node per peer holds the send-side sequence counter,
+// the receive-side dedup window, and the pending seq each AckToken names;
+// pending sends live in a flat hash map keyed by a packed (peer, seq), so
+// a retransmit timer's closure is 16 bytes and never allocates. In-order
+// arrival (the common case on a healthy path) moves the dedup floor
+// without touching the out-of-order set.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -72,6 +78,8 @@ enum class AckToken : std::uint8_t {
   kKeyInstallAck,
   kRekeyComplete,
 };
+inline constexpr std::size_t kAckTokens =
+    static_cast<std::size_t>(AckToken::kRekeyComplete) + 1;
 
 /// What on_receive decided about an incoming envelope.
 enum class ReceiveAction : std::uint8_t {
@@ -141,12 +149,12 @@ class ReliableLink {
   /// remembered — bounded by dedup_window — and the floor below which
   /// everything counts as seen. Tests pin the memory bound with these.
   [[nodiscard]] std::size_t rx_ahead_size(AsNumber peer) const {
-    const auto it = rx_.find(peer);
-    return it == rx_.end() ? 0 : it->second.ahead.size();
+    const auto it = peers_.find(peer);
+    return it == peers_.end() ? 0 : it->second.ahead.size();
   }
   [[nodiscard]] std::uint64_t rx_floor(AsNumber peer) const {
-    const auto it = rx_.find(peer);
-    return it == rx_.end() ? 0 : it->second.floor;
+    const auto it = peers_.find(peer);
+    return it == peers_.end() ? 0 : it->second.floor;
   }
 
   /// Registers this link's telemetry into `registry`: a native histogram of
@@ -175,31 +183,47 @@ class ReliableLink {
     SimTime rto = 0;
     std::uint64_t timer = 0;
   };
-  /// Receive-side dedup per peer: every seq <= floor was seen; `ahead`
-  /// holds seen seqs above the floor (compressed when contiguous, evicted
-  /// from the bottom past dedup_window so memory stays bounded).
-  struct PeerRx {
+  /// Everything the link keeps per peer, in one hash-map node:
+  ///  * the send-side sequence counter;
+  ///  * receive-side dedup: every seq <= floor was seen; `ahead` holds seen
+  ///    seqs above the floor (compressed when contiguous, evicted from the
+  ///    bottom past dedup_window so memory stays bounded). In-order arrival
+  ///    only moves the floor and never touches `ahead`;
+  ///  * the seq of the pending send each AckToken names (0 = none).
+  struct PeerState {
+    std::uint64_t next_seq = 0;
     std::uint64_t floor = 0;
     std::set<std::uint64_t> ahead;
+    std::array<std::uint64_t, kAckTokens> token_seq{};
   };
-  using PendingKey = std::pair<AsNumber, std::uint64_t>;  // (to, seq)
+  /// pending_ key: (peer, low 32 bits of seq). A send stays pending for at
+  /// most max_retries RTOs, far fewer than 2^32 sends to one peer, so keys
+  /// never collide; lookups by a full seq still check the stored envelope.
+  using PendingKey = std::uint64_t;
+  static PendingKey pending_key(AsNumber peer, std::uint64_t seq) {
+    return (std::uint64_t{peer} << 32) | (seq & 0xffffffffu);
+  }
+  static AsNumber key_peer(PendingKey key) {
+    return static_cast<AsNumber>(key >> 32);
+  }
+
+  using PendingMap = std::unordered_map<PendingKey, Pending>;
 
   /// Hands `envelope` to the transport, counting it by type.
   void transmit(Envelope envelope);
   void arm_timer(PendingKey key);
   void on_timeout(PendingKey key);
-  void erase_pending(std::map<PendingKey, Pending>::iterator it);
-  bool record_seq(PeerRx& rx, std::uint64_t seq);  // false = duplicate
+  /// Cancels the timer, clears the token slot naming it; returns the next.
+  PendingMap::iterator erase_pending(PendingMap::iterator it);
+  bool record_seq(PeerState& peer, std::uint64_t seq);  // false = duplicate
 
   EventLoop* loop_;
   Transport* net_;
   AsNumber self_;
   ReliabilityConfig config_;
   FailureHandler on_failure_;
-  std::unordered_map<AsNumber, std::uint64_t> next_seq_;
-  std::map<PendingKey, Pending> pending_;
-  std::map<std::pair<AsNumber, AckToken>, std::uint64_t> token_index_;
-  std::unordered_map<AsNumber, PeerRx> rx_;
+  std::unordered_map<AsNumber, PeerState> peers_;
+  PendingMap pending_;
   ReliabilityStats stats_;
   /// Con-con volume by message type, indexed by ControlMessage::index():
   /// every envelope this link hands the transport (acks and retransmits

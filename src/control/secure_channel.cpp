@@ -1,6 +1,7 @@
 #include "control/secure_channel.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "control/codec.hpp"
 
@@ -25,14 +26,13 @@ void ConConNetwork::send(Envelope envelope) {
 
   // TLS session management: resume when the cache entry is still fresh,
   // otherwise a full handshake (cost + extra latency).
-  const PairKey key = pair_key(envelope.from, envelope.to);
   const SimTime expiry = now + cost_.session_ttl;
   SimTime extra_latency = 0;
-  const auto [it, inserted] = session_expiry_.try_emplace(key, expiry);
+  const auto [it, inserted] =
+      session_expiry_.try_emplace(pair_key(envelope.from, envelope.to), expiry);
   if (!inserted && it->second > now) {
     ++stats_.session_resumptions;
-    const auto bucket = live_by_expiry_.find(it->second);
-    if (--bucket->second == 0) live_by_expiry_.erase(bucket);
+    live_remove(it->second);
   } else {
     // A new pair, or one whose entry expired (its live count, if not yet
     // popped, leaves with its old bucket below).
@@ -42,7 +42,7 @@ void ConConNetwork::send(Envelope envelope) {
     ++live_;
   }
   it->second = expiry;
-  ++live_by_expiry_[expiry];
+  live_add(expiry);
   // Popped after the update, so an entry expiring exactly now (a zero TTL)
   // is not live, as in live_sessions(now).
   expire_live(now);
@@ -75,7 +75,8 @@ void ConConNetwork::send(Envelope envelope) {
     ++fault_stats_.duplicated;
   }
   SimTime reorder_delay = 0;
-  std::vector<SimTime> copy_delays;
+  std::array<SimTime, 2> copy_delays{};
+  std::size_t delivered = 0;
   for (int c = 0; c < copies; ++c) {
     bool dropped = false;
     if (fault_plan_.drop_probability > 0.0 &&
@@ -87,13 +88,13 @@ void ConConNetwork::send(Envelope envelope) {
     if (fault_plan_.latency_jitter > 0) {
       jitter = fault_rng_.below(fault_plan_.latency_jitter + 1);
     }
-    if (!dropped) copy_delays.push_back(jitter);
+    if (!dropped) copy_delays[delivered++] = jitter;
   }
   if (fault_plan_.reorder_window > 0) {
     reorder_delay = fault_rng_.below(fault_plan_.reorder_window + 1);
   }
-  for (std::size_t c = 0; c < copy_delays.size(); ++c) {
-    Envelope copy = (c + 1 == copy_delays.size()) ? std::move(envelope) : envelope;
+  for (std::size_t c = 0; c < delivered; ++c) {
+    Envelope copy = (c + 1 == delivered) ? std::move(envelope) : envelope;
     schedule_delivery(std::move(copy),
                       latency_ + extra_latency + copy_delays[c] + reorder_delay);
   }
@@ -104,10 +105,25 @@ void ConConNetwork::schedule_delivery(Envelope envelope, SimTime delay) {
     delivery_delay_->record(static_cast<double>(delay) /
                             static_cast<double>(kMillisecond));
   }
-  loop_->schedule(delay, [this, envelope = std::move(envelope)] {
-    const auto handler = handlers_.find(envelope.to);
-    if (handler != handlers_.end()) handler->second(envelope);
-  });
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(envelope));
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    in_flight_[slot] = std::move(envelope);
+  }
+  loop_->schedule(delay, [this, slot] { deliver(slot); });
+}
+
+void ConConNetwork::deliver(std::uint32_t slot) {
+  // Moved out before the handler runs: it may send, and a send may grow
+  // in_flight_ or reuse this slot.
+  const Envelope envelope = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  const auto handler = handlers_.find(envelope.to);
+  if (handler != handlers_.end()) handler->second(envelope);
 }
 
 bool ConConNetwork::partitioned(AsNumber from, AsNumber to, SimTime now) const {
@@ -131,12 +147,47 @@ void ConConNetwork::sweep_sessions(SimTime now) {
   }
 }
 
-void ConConNetwork::expire_live(SimTime now) {
-  auto bucket = live_by_expiry_.begin();
-  for (; bucket != live_by_expiry_.end() && bucket->first <= now; ++bucket) {
-    live_ -= bucket->second;
+void ConConNetwork::live_add(SimTime expiry) {
+  // Expiries are now + ttl with now non-decreasing: this one is >= every
+  // bucket, so it joins the last bucket or appends a new one.
+  if (live_head_ < live_by_expiry_.size() &&
+      live_by_expiry_.back().expiry == expiry) {
+    if (live_by_expiry_.back().count++ == 0) --empty_buckets_;
+    return;
   }
-  live_by_expiry_.erase(live_by_expiry_.begin(), bucket);
+  live_by_expiry_.push_back({expiry, 1});
+}
+
+void ConConNetwork::live_remove(SimTime expiry) {
+  // The entry is live (expiry > now), so its bucket has not been popped.
+  const auto bucket = std::lower_bound(
+      live_by_expiry_.begin() + static_cast<std::ptrdiff_t>(live_head_),
+      live_by_expiry_.end(), expiry,
+      [](const ExpiryBucket& b, SimTime t) { return b.expiry < t; });
+  if (--bucket->count == 0) ++empty_buckets_;
+}
+
+void ConConNetwork::expire_live(SimTime now) {
+  for (; live_head_ < live_by_expiry_.size() &&
+         live_by_expiry_[live_head_].expiry <= now;
+       ++live_head_) {
+    const std::size_t count = live_by_expiry_[live_head_].count;
+    live_ -= count;
+    if (count == 0) --empty_buckets_;
+  }
+  // Compact once popped and emptied buckets are half the vector: the pass
+  // is paid for by the pops and decrements that made them dead.
+  const std::size_t dead = live_head_ + empty_buckets_;
+  if (2 * dead > live_by_expiry_.size()) {
+    auto out = live_by_expiry_.begin();
+    for (auto b = out + static_cast<std::ptrdiff_t>(live_head_);
+         b != live_by_expiry_.end(); ++b) {
+      if (b->count != 0) *out++ = *b;
+    }
+    live_by_expiry_.erase(out, live_by_expiry_.end());
+    live_head_ = 0;
+    empty_buckets_ = 0;
+  }
 }
 
 std::size_t ConConNetwork::live_sessions(SimTime now) const {

@@ -11,12 +11,19 @@
 // inter-AS paths real controller traffic rides. The default FaultPlan is
 // lossless and reproduces exactly-once fixed-latency delivery bit-for-bit
 // (no RNG draws, identical scheduling, identical ChannelStats).
+//
+// A send costs O(1) and allocates nothing in steady state: the TLS session
+// cache is a hash map keyed by the packed controller pair, the live-session
+// count behind peak_concurrent_sessions comes from a sorted vector of
+// expiry buckets (expiries are appended in time order, so no tree), and an
+// in-flight envelope waits in a reusable slot while its delivery event
+// carries only the slot number.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -151,10 +158,10 @@ class ConConNetwork : public Transport {
   }
 
  private:
-  /// Session cache key: unordered controller pair.
-  using PairKey = std::pair<AsNumber, AsNumber>;
-  static PairKey pair_key(AsNumber a, AsNumber b) {
-    return a < b ? PairKey{a, b} : PairKey{b, a};
+  /// Session cache key: the unordered controller pair, packed low-high.
+  static std::uint64_t pair_key(AsNumber a, AsNumber b) {
+    if (b < a) std::swap(a, b);
+    return (std::uint64_t{a} << 32) | b;
   }
 
   /// True when `from` <-> `to` sits inside an active partition interval.
@@ -167,23 +174,44 @@ class ConConNetwork : public Transport {
   /// send.
   void sweep_sessions(SimTime now);
 
+  /// Live-session index operations (see live_by_expiry_).
+  void live_add(SimTime expiry);
+  void live_remove(SimTime expiry);
   /// Pops every expiry bucket at or before `now` off the live count.
   void expire_live(SimTime now);
 
   /// Schedules one delivery attempt of `envelope` after `delay`.
   void schedule_delivery(Envelope envelope, SimTime delay);
+  /// Hands the envelope parked in `slot` to its destination's handler.
+  void deliver(std::uint32_t slot);
 
   EventLoop* loop_;
   SimTime latency_;
   ChannelCostModel cost_;
   std::unordered_map<AsNumber, Handler> handlers_;
-  std::map<PairKey, SimTime> session_expiry_;
-  /// Exact live-session index: expiry time -> number of cache entries that
-  /// expire then and have not been popped, with live_ their sum, so the
-  /// peak is read in O(1) instead of by scanning session_expiry_. Bounded
-  /// by live pairs, not by messages.
-  std::map<SimTime, std::size_t> live_by_expiry_;
+  std::unordered_map<std::uint64_t, SimTime> session_expiry_;  // by pair_key
+  /// Exact live-session index: (expiry, cache entries expiring then that
+  /// have not been popped), with live_ their sum, so the peak is read in
+  /// O(1) instead of by scanning session_expiry_. Every expiry is
+  /// now + session_ttl, so buckets arrive in non-decreasing order and the
+  /// vector stays sorted by appending: a resumption finds its old bucket
+  /// by binary search and decrements it, expire_live advances
+  /// live_head_ past the popped prefix. Emptied buckets stay in place until
+  /// popped and dead buckets are compacted away once they are half the
+  /// vector, so the index is bounded by twice the live pairs.
+  struct ExpiryBucket {
+    SimTime expiry;
+    std::size_t count;
+  };
+  std::vector<ExpiryBucket> live_by_expiry_;
+  std::size_t live_head_ = 0;     // buckets before it are popped
+  std::size_t empty_buckets_ = 0;  // count == 0, at or after live_head_
   std::size_t live_ = 0;
+  /// Envelopes in flight, each parked in a slot until its delivery event
+  /// fires, so the event's closure holds only (this, slot) and fits
+  /// std::function's inline buffer.
+  std::vector<Envelope> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   SimTime next_session_sweep_ = 0;
   ChannelStats stats_;
   FaultPlan fault_plan_;

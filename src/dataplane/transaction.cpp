@@ -122,8 +122,13 @@ TableTransaction::Prepared TableTransaction::prepare(
     const RouterTables& tables) const {
   Prepared prepared;
   prepared.epoch = tables.applied_epoch();
-  // Unsealed tables look up through the tries; there is nothing to build.
-  if (!tables.sealed()) return prepared;
+  // Unsealed tables look up through the tries, and key, window and expiry
+  // ops change no prefix structure: either way there is nothing to build.
+  const bool reshapes = std::any_of(ops_.begin(), ops_.end(), [](const Op& op) {
+    return std::holds_alternative<MapPrefixOp>(op) ||
+           std::holds_alternative<InstallOp>(op);
+  });
+  if (!tables.sealed() || !reshapes) return prepared;
 
   FamilyOverlay<AsNumber> mapped;
   // Per function table: the prefixes it gains, each with the entries_

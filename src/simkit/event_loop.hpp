@@ -5,13 +5,29 @@
 // Time is in integer microseconds. Events at equal timestamps fire in
 // scheduling order (a monotonic sequence number breaks ties), so a given
 // scenario replays identically.
+//
+// Storage is split in two so that neither schedule nor cancel hashes or
+// allocates in steady state:
+//  * a slab of slots, each holding one pending callable and a 32-bit
+//    generation. A slot's generation is odd while it holds a pending event
+//    and even while it sits on the free list; it advances on every
+//    transition, so each (slot, generation) pair names one event ever.
+//  * a binary min-heap of 24-byte POD entries {when, seq, slot, gen},
+//    ordered by (when, seq). An entry whose generation no longer matches
+//    its slot's is a tombstone (the event was cancelled) and is discarded
+//    when it reaches the top. When tombstones outnumber live events the
+//    heap is compacted in one pass, so settled retransmit timers cannot
+//    pile up.
+//
+// An event id is (gen << 32) | (slot + 1): 0 is never a valid id, and an
+// id whose event ran or was cancelled stays invalid after its slot is
+// reused (the generation moved on). Generations wrap after 2^31 reuses of
+// one slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace discs {
@@ -33,7 +49,8 @@ class EventLoop {
   /// Schedules at an absolute time (clamped to now() if in the past).
   std::uint64_t schedule_at(SimTime when, std::function<void()> fn);
 
-  /// Cancels a pending event; returns false if it already ran or never existed.
+  /// Cancels a pending event; returns false if it already ran (or is
+  /// running), was already cancelled, or never existed. O(1).
   bool cancel(std::uint64_t id);
 
   /// Runs events until the queue is empty.
@@ -42,35 +59,52 @@ class EventLoop {
   /// Runs events with timestamps <= deadline, then sets now() = deadline.
   void run_until(SimTime deadline);
 
-  /// Runs at most one event; returns false when the queue is empty.
+  /// Runs at most one event; returns false when the queue is empty. The
+  /// event's slot is freed before its callable runs, so the callable may
+  /// schedule (and its own id no longer cancels anything).
   bool step();
 
   /// Timestamp of the earliest live pending event; nullopt when idle.
-  /// Non-const because it prunes cancelled tombstones off the queue front
+  /// Non-const because it discards cancelled tombstones off the heap top
   /// (observable only through memory, never through event order). The
   /// RealtimeDriver uses this to size its poll() timeout.
   [[nodiscard]] std::optional<SimTime> next_event_time();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return live_ids_.size(); }
+  /// Live (scheduled, not yet run or cancelled) events.
+  [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
-  struct Event {
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t gen = 0;  // odd: holds a pending event; even: free
+  };
+  struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::uint64_t id;
-    std::function<void()> fn;
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
+  /// Heap order for std::*_heap (a max-heap): "a fires after b".
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::unordered_set<std::uint64_t> live_ids_;  // scheduled, not yet run
+  [[nodiscard]] bool live(const Entry& e) const {
+    return slots_[e.slot].gen == e.gen;
+  }
+  /// Ends the slot's event (ran or cancelled) and returns it to the free list.
+  void release(std::uint32_t slot);
+  /// Pops tombstones off the heap top; false when no live event remains.
+  bool prune_top();
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::vector<Entry> heap_;
+  std::size_t live_ = 0;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace discs

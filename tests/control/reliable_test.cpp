@@ -59,6 +59,22 @@ TEST_F(ReliableRxTest, ContiguousSequencesCompressIntoTheFloor) {
   EXPECT_EQ(link_.rx_ahead_size(2), 0u);  // nothing remembered out-of-order
 }
 
+TEST_F(ReliableRxTest, InOrderDeliveryNeverTouchesTheAheadSet) {
+  // Two peers interleaved, acks requested, as a healthy path delivers
+  // them: the floor tracks every seq and nothing is remembered ahead.
+  for (std::uint64_t seq = 1; seq <= 64; ++seq) {
+    for (const AsNumber peer : {AsNumber{2}, AsNumber{3}}) {
+      EXPECT_EQ(link_.on_receive(from_peer(peer, seq, /*ack=*/true)),
+                ReceiveAction::kFresh);
+      EXPECT_EQ(link_.rx_ahead_size(peer), 0u) << "seq " << seq;
+      EXPECT_EQ(link_.rx_floor(peer), seq);
+    }
+  }
+  // A replay of an in-order seq is still a duplicate.
+  EXPECT_EQ(link_.on_receive(from_peer(2, 64)), ReceiveAction::kDuplicate);
+  EXPECT_EQ(link_.stats().acks_sent, 128u);
+}
+
 TEST_F(ReliableRxTest, AheadSetStaysBoundedUnderAdversarialGaps) {
   // All-even sequences: every arrival leaves a hole, so nothing ever
   // compresses into the floor — the worst case for `ahead` growth.

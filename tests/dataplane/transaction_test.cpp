@@ -441,6 +441,94 @@ TEST(TableTransactionTest, PreparedCommitsMatchTheTriePathAfterEveryTxn) {
   }
 }
 
+/// True when `prepared` carries no compiled form for any table.
+bool prepared_nothing(const TableTransaction::Prepared& prepared) {
+  bool none = !prepared.pfx2as.v4 && !prepared.pfx2as.v6;
+  for (const FunctionTable::Next& next : prepared.functions) {
+    none = none && !next.v4 && !next.v6;
+  }
+  return none;
+}
+
+/// Both key tables agree with the twin's for `peer` (keys and grace keys).
+void expect_same_keys(const RouterTables& sealed, const RouterTables& twin,
+                      AsNumber peer) {
+  const std::pair<const KeyTable*, const KeyTable*> tables[] = {
+      {&sealed.key_s, &twin.key_s}, {&sealed.key_v, &twin.key_v}};
+  for (const auto& [a, b] : tables) {
+    const KeyTable::Entry* ea = a->find(peer);
+    const KeyTable::Entry* eb = b->find(peer);
+    ASSERT_EQ(ea == nullptr, eb == nullptr) << "peer " << peer;
+    if (ea == nullptr) continue;
+    EXPECT_EQ(ea->active, eb->active) << "peer " << peer;
+    EXPECT_EQ(ea->previous, eb->previous) << "peer " << peer;
+  }
+}
+
+/// The con-rou traffic of a settled mesh — key installs, re-key finishes,
+/// peer erasures, key wipes, expiry sweeps — changes no prefix structure,
+/// so on sealed tables its prepare builds nothing, and its commit leaves
+/// the same lookups as the never-sealed twin. One map_prefix or one new
+/// function prefix is enough to make prepare build again.
+TEST(TableTransactionTest, KeyOnlyTransactionsPrepareNoForm) {
+  Xoshiro256 rng(23);
+  RouterTables sealed(2 * kSecond);
+  RouterTables twin(2 * kSecond);
+  TableTransaction setup;
+  for (int i = 0; i < 256; ++i) {
+    setup.map_prefix(random_prefix4(rng, 8), 100 + rng.below(16));
+  }
+  for (std::size_t d = 0; d < 4; ++d) {
+    setup.install_function_window(static_cast<FunctionDirection>(d),
+                                  AnyPrefix(random_prefix4(rng, 8)),
+                                  kAllFunctions[d], 0, kMinute * (d + 1));
+  }
+  for (AsNumber peer = 1; peer <= 4; ++peer) {
+    setup.set_stamp_key(peer, derive_key128(peer))
+        .set_verify_key(peer, derive_key128(peer + 100));
+  }
+  setup.apply(sealed, 0);
+  setup.apply(twin, 0);
+  sealed.seal();
+
+  std::vector<TableTransaction> key_only(6);
+  key_only[0].set_stamp_key(5, derive_key128(5))
+      .set_verify_key(5, derive_key128(6));
+  key_only[1].set_stamp_key(1, derive_key128(11), /*retain_previous=*/true);
+  key_only[2].finish_rekey(1, /*stamping=*/true);
+  key_only[3].erase_peer(2);
+  key_only[4].expire_functions();
+  key_only[5].clear_keys();
+  SimTime now = 0;
+  for (std::size_t t = 0; t < key_only.size(); ++t) {
+    now += kMinute;
+    TableTransaction::Prepared prepared = key_only[t].prepare(sealed);
+    EXPECT_TRUE(prepared_nothing(prepared)) << "transaction " << t;
+    ASSERT_EQ(key_only[t].commit(sealed, std::move(prepared), now),
+              key_only[t].apply(twin, now));
+    EXPECT_EQ(sealed.window_count(), twin.window_count()) << "txn " << t;
+    for (AsNumber peer = 1; peer <= 5; ++peer) {
+      expect_same_keys(sealed, twin, peer);
+    }
+    for (int i = 0; i < 1024; ++i) {
+      const Ipv4Address addr(static_cast<std::uint32_t>(rng.next()));
+      const std::string diff = first_mismatch(sealed, twin, addr, now);
+      ASSERT_TRUE(diff.empty()) << "transaction " << t << ": " << diff;
+    }
+  }
+
+  TableTransaction map;
+  map.set_stamp_key(7, derive_key128(7)).map_prefix(pfx("198.51.100.0/24"), 7);
+  EXPECT_TRUE(map.prepare(sealed).pfx2as.v4.has_value());
+  TableTransaction install;
+  install.set_verify_key(7, derive_key128(8))
+      .install_function(FunctionDirection::kOutDst,
+                        AnyPrefix(pfx("203.0.113.0/24")), DefenseFunction::kDp,
+                        kMinute);
+  const auto d = static_cast<std::size_t>(FunctionDirection::kOutDst);
+  EXPECT_TRUE(install.prepare(sealed).functions[d].v4.has_value());
+}
+
 /// The engine's apply() builds a 64-op Pfx2AS refresh of a DIR-24 table
 /// off-lock, so its writer-lock hold is a small fraction of its prepare.
 TEST(TableTransactionTest, EngineHoldsTheWriterLockOnlyToCommit) {
