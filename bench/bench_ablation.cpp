@@ -1,13 +1,16 @@
 // Ablation benchmarks for design choices called out in DESIGN.md:
-//   * LPM engine: binary trie vs 8-bit stride trie (lookup latency/memory);
+//   * LPM: binary-trie lookup latency/memory (the build representation the
+//     sealed flat tables compile from);
 //   * on-demand invocation vs always-on execution (§IV-E's motivation):
 //     per-packet work with empty function tables vs fully loaded ones;
 //   * the §VI-A2 suggestion "invoke DP with CDP": how much CDP crypto work
 //     the cheap DP pre-filter sheds under attack traffic.
+// Router work is measured one packet per batch call (a one-packet span).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
+#include "../tests/dataplane/batch_of_one.hpp"
 #include "dataplane/router.hpp"
 #include "lpm/lpm.hpp"
 #include "topology/synthetic.hpp"
@@ -55,21 +58,6 @@ void BM_LpmBinaryTrie(benchmark::State& state) {
 }
 BENCHMARK(BM_LpmBinaryTrie);
 
-void BM_LpmStrideTrie(benchmark::State& state) {
-  StrideTrie<Ipv4Key, AsNumber> trie;
-  for (const auto& e : bench_dataset().entries()) {
-    trie.insert(e.prefix, e.origins.front());
-  }
-  const auto probes = probe_addresses(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.lookup(probes[i++ & 4095]));
-  }
-  state.counters["heap_MB"] =
-      static_cast<double>(trie.memory_bytes()) / (1024 * 1024);
-}
-BENCHMARK(BM_LpmStrideTrie);
-
 // Per-packet router work with no functions invoked (on-demand idle path).
 void BM_RouterIdle(benchmark::State& state) {
   RouterTables tables;
@@ -83,7 +71,7 @@ void BM_RouterIdle(benchmark::State& state) {
     auto packet = Ipv4Packet::make(probes[i & 4095], probes[(i + 1) & 4095],
                                    IpProto::kUdp, {});
     ++i;
-    benchmark::DoNotOptimize(router.process_outbound(packet, kMinute));
+    benchmark::DoNotOptimize(outbound_one(router, packet, kMinute));
   }
 }
 BENCHMARK(BM_RouterIdle);
@@ -101,7 +89,7 @@ void BM_RouterStampingActive(benchmark::State& state) {
     auto packet = Ipv4Packet::make(*Ipv4Address::parse("10.0.0.1"),
                                    *Ipv4Address::parse("20.0.0.1"),
                                    IpProto::kUdp, {1, 2, 3, 4});
-    benchmark::DoNotOptimize(router.process_outbound(packet, kMinute));
+    benchmark::DoNotOptimize(outbound_one(router, packet, kMinute));
   }
 }
 BENCHMARK(BM_RouterStampingActive);
@@ -124,7 +112,7 @@ void BM_DpShedsCdpWork(benchmark::State& state) {
     auto packet = Ipv4Packet::make(*Ipv4Address::parse("40.0.0.1"),
                                    *Ipv4Address::parse("20.0.0.1"),
                                    IpProto::kUdp, {1, 2, 3, 4});
-    benchmark::DoNotOptimize(router.process_outbound(packet, kMinute));
+    benchmark::DoNotOptimize(outbound_one(router, packet, kMinute));
   }
   state.counters["stamped"] = double(router.stats().out_stamped);
 }

@@ -8,8 +8,8 @@
 //
 //   sealed     RouterTables::seal() — compiled flat-array LPM
 //              (DIR-24-8 at this scale)
-//   trie       unsealed — plain BinaryTrie/StrideTrie lookups (the
-//              build representation and test oracle)
+//   trie       unsealed — plain BinaryTrie lookups (the build
+//              representation and test oracle)
 //
 // The merged RouterStats of the two runs must be field-for-field identical
 // (the compiled engines are a pure representation change); that equivalence

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "../tests/dataplane/batch_of_one.hpp"
 #include "bench_util.hpp"
 #include "dataplane/router.hpp"
 #include "eval/deployment.hpp"
@@ -64,12 +65,12 @@ int main(int argc, char** argv) {
     auto original = Ipv4Packet::make(*Ipv4Address::parse("10.0.0.1"),
                                      *Ipv4Address::parse("20.0.0.1"),
                                      IpProto::kUdp, {1, 2, 3, 4, 5, 6, 7, 8});
-    (void)peer.process_outbound(original, kMinute);
+    (void)outbound_one(peer, original, kMinute);
     const std::uint32_t mark = ipv4_read_mark(original);
 
     // TTL-exceeded probe: the echoed mark is scrubbed at the source border.
     auto te = build_time_exceeded_v4(original, *Ipv4Address::parse("30.0.0.254"));
-    (void)peer.process_inbound(te, kMinute);
+    (void)inbound_one(peer, te, kMinute);
     bench::row("TTL-exceeded echo scrubbed (1 = yes)", 1.0,
                peer.stats().icmp_scrubbed == 1 ? 1.0 : 0.0);
     json.metric("replay", "ttl_exceeded_scrubbed",
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
     forged.header.fragment_offset = static_cast<std::uint16_t>(mark & 0x1fff);
     forged.header.refresh_checksum();
     const double replay_dropped =
-        is_drop(victim.process_inbound(forged, kMinute)) ? 1.0 : 0.0;
+        is_drop(inbound_one(victim, forged, kMinute)) ? 1.0 : 0.0;
     bench::row("replayed mark on different msg dropped (1 = yes)", 1.0,
                replay_dropped);
     json.metric("replay", "mark_reuse_dropped", replay_dropped);

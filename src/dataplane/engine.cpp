@@ -117,9 +117,10 @@ void DataPlaneEngine::start() {
   const unsigned hw = std::thread::hardware_concurrency();
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
     workers_[wi]->thread = std::thread([this, wi] { worker_main(wi); });
-    if (config_.pin_workers && hw > 1) {
-      // Worker wi drives shard wi+1; spread over cores 1..hw-1 and leave
-      // core 0 to the (unpinned) consumer.
+    if (hw > 1) {
+      // Best-effort affinity, skipped on a single core. Worker wi drives
+      // shard wi+1; spread over cores 1..hw-1 and leave core 0 to the
+      // (unpinned) consumer.
       pin_to_core(workers_[wi]->thread, (wi + 1) % hw);
     }
   }

@@ -120,9 +120,6 @@ struct EngineConfig {
   /// the cache thrash the chunking exists to remove.
   std::size_t min_chunk = 256;
   std::size_t max_chunk = 1024;
-  /// Best-effort worker-thread affinity (worker i -> core (i+1) mod cores);
-  /// skipped when the host has a single core.
-  bool pin_workers = true;
   /// Spawn the persistent workers inside the constructor. When false they
   /// spawn at start() or lazily on the first batch spanning several shards,
   /// so engines that only ever see one-packet batches never own threads.

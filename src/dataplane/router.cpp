@@ -9,125 +9,6 @@ namespace {
 constexpr std::size_t kPrefetchLookahead = 8;
 }  // namespace
 
-Verdict BorderRouter::process_outbound(Ipv4Packet& packet, SimTime now) {
-  ++stats_.out_processed;
-  const OutTuple tuple =
-      tuples_.out_tuple(packet.header.src, packet.header.dst, now);
-  if (tuple.drop) {
-    ++stats_.out_dropped;
-    return Verdict::kDropFiltered;
-  }
-  if (tuple.stamp) {
-    // §V-E collateral: a fragment's IPID/offset are load-bearing; stamping
-    // over them breaks reassembly for this flow. The paper accepts this
-    // (~0.06% of traffic) for prefixes under active attack; we count it.
-    const bool fragmented =
-        (packet.header.flags & 0x1) != 0 || packet.header.fragment_offset != 0;
-    ipv4_stamp(packet, tuple.key_s->active_mac);
-    ++stats_.out_stamped;
-    stats_.fragments_stamped += fragmented;
-  }
-  return Verdict::kPass;
-}
-
-Verdict BorderRouter::process_outbound(Ipv6Packet& packet, SimTime now) {
-  ++stats_.out_processed;
-  const OutTuple tuple =
-      tuples_.out_tuple(packet.header.src, packet.header.dst, now);
-  if (tuple.drop) {
-    ++stats_.out_dropped;
-    return Verdict::kDropFiltered;
-  }
-  if (tuple.stamp) {
-    const Ipv6StampOutcome outcome =
-        ipv6_stamp(packet, tuple.key_s->active_mac, mtu_);
-    if (outcome.too_big) {
-      ++stats_.out_too_big;
-      if (icmp6_sink_) {
-        // Advertise 8 bytes below the external-link MTU so the retried
-        // packet still fits after stamping (paper §V-F).
-        icmp6_sink_(build_packet_too_big_v6(
-            packet, packet.header.src /* router speaks for the path */,
-            static_cast<std::uint32_t>(mtu_ - 8)));
-      }
-      return Verdict::kDropTooBig;
-    }
-    ++stats_.out_stamped;
-  }
-  return Verdict::kPass;
-}
-
-Verdict BorderRouter::apply_verify(Ipv4Packet& packet, const InTuple& tuple) {
-  if (tuple.erase_only || tuple.key_v == nullptr) {
-    // Tolerance interval, or the source is not a peer: erase-or-pass.
-    if (tuple.erase_only) {
-      ipv4_erase(packet, rng_);
-      ++stats_.in_erased_tolerance;
-    } else {
-      ++stats_.in_passed_unverified;
-    }
-    return Verdict::kPass;
-  }
-  const AesCmac* grace = tuple.key_v->previous_mac ? &*tuple.key_v->previous_mac
-                                                   : nullptr;
-  const VerifyResult result =
-      ipv4_verify(packet, tuple.key_v->active_mac, grace, rng_);
-  if (result == VerifyResult::kValid) {
-    ++stats_.in_verified;
-    return Verdict::kPass;
-  }
-  return Verdict::kDropSpoofed;
-}
-
-Verdict BorderRouter::apply_verify(Ipv6Packet& packet, const InTuple& tuple) {
-  if (tuple.erase_only || tuple.key_v == nullptr) {
-    if (tuple.erase_only) {
-      ipv6_erase(packet);
-      ++stats_.in_erased_tolerance;
-    } else {
-      ++stats_.in_passed_unverified;
-    }
-    return Verdict::kPass;
-  }
-  const AesCmac* grace = tuple.key_v->previous_mac ? &*tuple.key_v->previous_mac
-                                                   : nullptr;
-  const VerifyResult result =
-      ipv6_verify(packet, tuple.key_v->active_mac, grace);
-  if (result == VerifyResult::kValid) {
-    ++stats_.in_verified;
-    return Verdict::kPass;
-  }
-  return Verdict::kDropSpoofed;
-}
-
-template <typename Packet>
-Verdict BorderRouter::inbound_impl(Packet& packet, SimTime now) {
-  ++stats_.in_processed;
-
-  if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-    if (traffic_observer_) traffic_observer_(packet.header.dst, now);
-  }
-
-  // §VI-E2: scrub marks echoed inside inbound ICMP Time Exceeded messages
-  // before they can reach a snooping host.
-  if constexpr (std::is_same_v<Packet, Ipv4Packet>) {
-    if (scrub_quoted_mark_v4(packet)) ++stats_.icmp_scrubbed;
-  } else {
-    if (scrub_quoted_mark_v6(packet)) ++stats_.icmp_scrubbed;
-  }
-
-  const InTuple tuple =
-      tuples_.in_tuple(packet.header.src, packet.header.dst, now);
-  if (!tuple.verify) return Verdict::kPass;
-
-  const Verdict verdict = apply_verify(packet, tuple);
-  if (verdict != Verdict::kDropSpoofed) return verdict;
-
-  return spoof_consequence(
-      packet, tuple,
-      {now, tables_->pfx2as.lookup(packet.header.src), /*inbound=*/true});
-}
-
 template <typename Packet>
 Verdict BorderRouter::spoof_consequence(const Packet& packet,
                                         const InTuple& tuple,
@@ -168,14 +49,6 @@ Verdict BorderRouter::spoof_consequence(const Packet& packet,
     }
   }
   return verdict;
-}
-
-Verdict BorderRouter::process_inbound(Ipv4Packet& packet, SimTime now) {
-  return inbound_impl(packet, now);
-}
-
-Verdict BorderRouter::process_inbound(Ipv6Packet& packet, SimTime now) {
-  return inbound_impl(packet, now);
 }
 
 void BorderRouter::process_outbound_batch(std::span<BatchPacket> packets,

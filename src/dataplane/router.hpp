@@ -106,6 +106,11 @@ struct RouterStats {
   friend bool operator==(const RouterStats&, const RouterStats&) = default;
 };
 
+/// One border router's §V-C walk: the only implementation of the processing
+/// flow in the library. Each DataPlaneEngine shard owns one and feeds it
+/// index ranges; nothing else carries DAS traffic. The tests hold it to
+/// tests/dataplane/reference_router.hpp, a per-packet walk written
+/// separately from the paper text.
 class BorderRouter {
  public:
   /// `tables` must outlive the router (the controller owns them and pushes
@@ -159,29 +164,16 @@ class BorderRouter {
     traffic_observer_ = std::move(observer);
   }
 
-  /// Per-packet entry points. No DAS traffic takes them: a Controller's
-  /// only data plane is its DataPlaneEngine, whose shards run the batch
-  /// entry points below. They stay as the straight-line §V-C reference
-  /// engine_equivalence_test compares the engine against, and as the
-  /// serial baseline of bench_engine's w1 gate (a batch-of-one loop or a
-  /// whole-batch walk runs slower than this path, so either would loosen
-  /// the gate).
-  ///
-  /// Processes a packet leaving the local AS through this border router.
-  Verdict process_outbound(Ipv4Packet& packet, SimTime now);
-  Verdict process_outbound(Ipv6Packet& packet, SimTime now);
-
-  /// Processes a packet entering the local AS through this border router.
-  Verdict process_inbound(Ipv4Packet& packet, SimTime now);
-  Verdict process_inbound(Ipv6Packet& packet, SimTime now);
-
-  /// Batched counterparts over `packets[indices...]`: phase A walks the
-  /// packets in `indices` order collecting deferred AES-CMAC work, one
-  /// mac_truncated_batch() flush pipelines every mark computation through
-  /// the crypto backend (AES-NI keeps up to 8 CBC chains in flight), phase
-  /// B applies verdicts and side effects in the same order. Verdicts,
-  /// stats, RNG consumption and sink emission order are identical to
-  /// calling the per-packet entry points in `indices` order.
+  /// The §V-C processing flow over `packets[indices...]`, outbound
+  /// (filter, stamp) and inbound (scrub, verify, erase). Phase A walks the
+  /// packets in `indices` order doing the table lookups and collecting
+  /// deferred AES-CMAC work, one mac_truncated_batch() flush pipelines
+  /// every mark computation through the crypto backend (AES-NI keeps up to
+  /// 8 CBC chains in flight), phase B applies verdicts and side effects in
+  /// the same order. Phase A draws no RNG, so stats, RNG consumption and
+  /// sink emission order depend only on `indices` order: splitting a call
+  /// into consecutive index ranges changes nothing. Per-packet callers
+  /// pass one-packet spans.
   void process_outbound_batch(std::span<BatchPacket> packets,
                               std::span<const std::uint32_t> indices,
                               std::span<Verdict> verdicts, SimTime now);
@@ -193,14 +185,7 @@ class BorderRouter {
   [[nodiscard]] AsNumber local_as() const { return tuples_.local_as(); }
 
  private:
-  template <typename Packet>
-  Verdict inbound_impl(Packet& packet, SimTime now);
-
-  /// Applies the verify/erase decision; returns the verdict contribution.
-  Verdict apply_verify(Ipv4Packet& packet, const InTuple& tuple);
-  Verdict apply_verify(Ipv6Packet& packet, const InTuple& tuple);
-
-  /// The §V-C spoof consequence shared by the serial and batch paths:
+  /// The §V-C spoof consequence of both address families' phase B:
   /// count, report (alarm sample + flow report under one sampling
   /// decision), and decide pass (alarm mode) vs drop.
   template <typename Packet>

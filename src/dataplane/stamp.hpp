@@ -58,7 +58,7 @@ void ipv4_stamp_precomputed(Ipv4Packet& packet, std::uint32_t mark);
 
 /// ipv4_verify with the active key's mark computed earlier; the grace key
 /// (rare: only during a re-key window, and only on an active-key mismatch)
-/// is still evaluated inline, exactly as the serial path would.
+/// is still evaluated inline, exactly as ipv4_verify would.
 [[nodiscard]] VerifyResult ipv4_verify_precomputed(Ipv4Packet& packet,
                                                    std::uint32_t expected,
                                                    const AesCmac* grace_mac,

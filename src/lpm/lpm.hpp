@@ -1,19 +1,18 @@
 // Longest-prefix-match tables — the lookup substrate behind the DISCS
 // Pfx2AS table and the four function tables (paper §V-A).
 //
-// Two interchangeable engines are provided:
-//  * BinaryTrie  — one node per prefix bit; minimal memory, simple.
-//  * StrideTrie  — 8-bit stride with leaf pushing per level; trades memory
-//    for ~4x fewer memory touches per lookup. bench_ablation compares them.
+// BinaryTrie (one node per prefix bit; minimal memory, simple) is the
+// mutable build representation of every table: RouterTables::seal()
+// compiles it into the flat engines of lpm/flat.hpp that sealed lookups
+// serve from, and the differential tests hold those engines to it.
 //
-// Both are templates over the key family (IPv4 or IPv6 traits) and the
+// It is a template over the key family (IPv4 or IPv6 traits) and the
 // mapped value type. Insert-then-lookup workloads only (route tables are
 // rebuilt, not incrementally withdrawn, in this simulator); `insert`
 // overwrites an existing entry for the same prefix.
 #pragma once
 
 #include <array>
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -158,94 +157,6 @@ class BinaryTrie {
       if (b != 0) bytes[depth / 8] &= static_cast<std::uint8_t>(~mask);
     }
   }
-
-  std::unique_ptr<Node> root_;
-  std::size_t size_ = 0;
-  std::size_t nodes_ = 1;  // root included
-};
-
-/// 8-bit-stride multibit trie. Each level consumes one address byte; a
-/// prefix whose length is not a multiple of 8 is expanded into the covered
-/// slots of its level (controlled prefix expansion), with longer prefixes
-/// taking precedence slot by slot.
-template <typename Traits, typename Value>
-class StrideTrie {
- public:
-  using Address = typename Traits::Address;
-  using Prefix = typename Traits::Prefix;
-
-  StrideTrie() : root_(std::make_unique<Node>()) {}
-
-  void insert(const Prefix& prefix, Value value) {
-    Node* node = root_.get();
-    unsigned remaining = prefix.length();
-    unsigned level = 0;
-    while (remaining > 8) {
-      const std::uint8_t b = Traits::byte(prefix.address(), level);
-      auto& child = node->children[b];
-      if (!child) {
-        child = std::make_unique<Node>();
-        ++nodes_;
-      }
-      node = child.get();
-      remaining -= 8;
-      ++level;
-    }
-    // Expand the final partial byte across its 2^(8-remaining) slots.
-    const std::uint8_t base =
-        remaining == 0 ? 0 : Traits::byte(prefix.address(), level);
-    const unsigned span = 1u << (8 - remaining);
-    const unsigned lo = remaining == 0 ? 0 : (base & ~(span - 1));
-    for (unsigned s = 0; s < span; ++s) {
-      auto& slot = node->slots[lo + s];
-      // A slot keeps the longest originating prefix; ties mean the same
-      // prefix is being overwritten, which insert() permits.
-      if (!slot.value || slot.length <= remaining) {
-        slot.value = value;
-        slot.length = static_cast<std::uint8_t>(remaining);
-      }
-    }
-    // size() counts distinct prefixes (BinaryTrie semantics): within this
-    // node a prefix is identified by its final-byte length and top bits —
-    // id = (2^len - 1) + top_len_bits, 511 ids total.
-    const unsigned id = (1u << remaining) - 1 +
-                        (remaining == 0 ? 0u : base >> (8 - remaining));
-    if (!node->present[id]) {
-      node->present.set(id);
-      ++size_;
-    }
-  }
-
-  [[nodiscard]] std::optional<Value> lookup(const Address& addr) const {
-    const Node* node = root_.get();
-    std::optional<Value> best;
-    for (unsigned level = 0; level < Traits::kMaxBits / 8; ++level) {
-      const std::uint8_t b = Traits::byte(addr, level);
-      if (node->slots[b].value) best = node->slots[b].value;
-      node = node->children[b].get();
-      if (node == nullptr) break;
-    }
-    return best;
-  }
-
-  /// Count of distinct prefixes inserted (duplicates overwrite in place).
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Incrementally-maintained node count, like BinaryTrie::memory_bytes().
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return nodes_ * sizeof(Node);
-  }
-
- private:
-  struct Slot {
-    std::optional<Value> value;
-    std::uint8_t length = 0;  // of the originating prefix's final byte part
-  };
-  struct Node {
-    std::array<Slot, 256> slots{};
-    std::array<std::unique_ptr<Node>, 256> children{};
-    std::bitset<511> present{};  // distinct prefixes ending in this node
-  };
 
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;

@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "dataplane/transaction.hpp"
+#include "reference_router.hpp"
 
 namespace discs {
 namespace {
@@ -128,7 +129,7 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
 
   // Consumer: every packet is genuinely stamped with kKeyA, so every verdict
   // must be kPass regardless of how updates interleave.
-  BorderRouter stamper(shared.peer, kPeerAs, 11);
+  ReferenceRouter stamper(shared.peer, kPeerAs, 11);
   Xoshiro256 rng(123);
   std::uint64_t processed = 0;
   for (int b = 0; b < kBatches; ++b) {
@@ -138,13 +139,13 @@ TEST(EngineConcurrencyTest, UpdatesMidStreamNeverDropGenuineTraffic) {
       if (rng.chance(0.3)) {
         Ipv6Packet p = Ipv6Packet::make(rand6(rng, 0xaaaa), rand6(rng, 0xbbbb),
                                         17, std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       } else {
         Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                         rand4(rng, 0x14000000u), IpProto::kUdp,
                                         std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       }
     }

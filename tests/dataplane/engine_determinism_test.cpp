@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "telemetry/ring.hpp"
+#include "reference_router.hpp"
 
 namespace discs {
 namespace {
@@ -82,7 +83,7 @@ RunResult run_once(std::uint64_t seed) {
   telemetry::RingBuffer<FlowReport> ring(64);
   engine.set_flow_sink([&](const FlowReport& r) { ring.push(r); });
 
-  BorderRouter stamper(env.peer, kPeerAs, 3);
+  ReferenceRouter stamper(env.peer, kPeerAs, 3);
   Xoshiro256 rng(seed);
   constexpr SimTime kNow = kMinute;
   for (int b = 0; b < 20; ++b) {
@@ -96,7 +97,7 @@ RunResult run_once(std::uint64_t seed) {
         Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                         rand4(rng, 0x14000000u), IpProto::kUdp,
                                         std::vector<std::uint8_t>(16));
-        (void)stamper.process_outbound(p, kNow);  // genuine
+        (void)stamper.outbound(p, kNow);  // genuine
         batch.add(std::move(p));
       } else {
         batch.add(Ipv4Packet::make(rand4(rng, 0x0a000000u),

@@ -1,8 +1,10 @@
-// Batch-vs-serial conformance suite: for randomized packet mixes
+// Engine-vs-reference conformance suite: for randomized packet mixes
 // (legit/spoofed, v4/v6, fragments, ICMP Time Exceeded, alarm mode on/off)
-// the sharded DataPlaneEngine must return exactly the verdicts a single
-// serial BorderRouter returns, its merged RouterStats must be identical,
-// and every sink (alarm, flow report, ICMPv6) must emit the same multiset.
+// the sharded DataPlaneEngine must return exactly the verdicts of
+// ReferenceRouter (reference_router.hpp: a plain per-packet §V-C walk that
+// shares no tuple, router or batched-CMAC code with the engine), its merged
+// RouterStats must be identical, and every sink (alarm, flow report,
+// ICMPv6) must emit the same multiset.
 // The grid covers the single-worker bypass (w1), the persistent-worker
 // path (w2/w4/w8 — oversubscribed on small hosts, which is exactly how the
 // park/doorbell protocol gets exercised under preemption), ring-wraparound
@@ -18,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "net/icmp.hpp"
+#include "reference_router.hpp"
 
 namespace discs {
 namespace {
@@ -29,8 +32,8 @@ constexpr AsNumber kPeerAs = 100;
 constexpr AsNumber kVictimAs = 200;
 constexpr AsNumber kLegacyAs = 300;
 
-// The table set of the victim AS (engine + serial reference share it) plus
-// a stamping router at the peer AS to mint genuinely marked traffic.
+// The table set of the victim AS (engine + reference share it) plus the
+// peer AS's tables, from which a reference router mints marked traffic.
 struct Env {
   RouterTables victim;
   RouterTables peer;
@@ -102,7 +105,7 @@ std::vector<std::uint8_t> rand_payload(Xoshiro256& rng, std::size_t max) {
 // and ICMP Time Exceeded messages quoting stamped headers.
 std::vector<BatchPacket> inbound_mix(Env& env, Xoshiro256& rng, std::size_t n,
                                      SimTime now) {
-  BorderRouter stamper(env.peer, kPeerAs, rng.next());
+  ReferenceRouter stamper(env.peer, kPeerAs, rng.next());
   std::vector<BatchPacket> packets;
   packets.reserve(n);
   while (packets.size() < n) {
@@ -113,7 +116,7 @@ std::vector<BatchPacket> inbound_mix(Env& env, Xoshiro256& rng, std::size_t n,
           rand6(rng, kind >= 8 ? 0xcccc : 0xaaaa), rand6(rng, 0xbbbb),
           /*upper_proto=*/17, rand_payload(rng, 64));
       if (kind < 5) {
-        if (stamper.process_outbound(p, now) != Verdict::kPass) continue;
+        if (stamper.outbound(p, now) != Verdict::kPass) continue;
       } else if (kind < 7) {
         (void)ipv6_stamp(p, env.rogue_mac, 1500);  // spoofed, guessed key
       } else if (kind == 9) {
@@ -121,8 +124,8 @@ std::vector<BatchPacket> inbound_mix(Env& env, Xoshiro256& rng, std::size_t n,
         Ipv6Packet offending = Ipv6Packet::make(rand6(rng, 0xbbbb),
                                                 rand6(rng, 0xaaaa), 17,
                                                 rand_payload(rng, 32));
-        BorderRouter out(env.victim, kVictimAs, rng.next());
-        if (out.process_outbound(offending, now) != Verdict::kPass) continue;
+        ReferenceRouter out(env.victim, kVictimAs, rng.next());
+        if (out.outbound(offending, now) != Verdict::kPass) continue;
         p = build_time_exceeded_v6(offending, rand6(rng, 0xcccc));
       }  // else: unstamped — spoofed (kind 7) or legacy source (kind 8)
       packets.emplace_back(std::move(p));
@@ -137,7 +140,7 @@ std::vector<BatchPacket> inbound_mix(Env& env, Xoshiro256& rng, std::size_t n,
         p.header.refresh_checksum();
       }
       if (kind < 5) {
-        if (stamper.process_outbound(p, now) != Verdict::kPass) continue;
+        if (stamper.outbound(p, now) != Verdict::kPass) continue;
       } else if (kind < 7) {
         ipv4_stamp(p, env.rogue_mac);
       } else if (kind == 9) {
@@ -145,8 +148,8 @@ std::vector<BatchPacket> inbound_mix(Env& env, Xoshiro256& rng, std::size_t n,
         Ipv4Packet offending =
             Ipv4Packet::make(rand4(rng, 0x14000000u), rand4(rng, 0x0a000000u),
                              IpProto::kUdp, rand_payload(rng, 32));
-        BorderRouter out(env.victim, kVictimAs, rng.next());
-        if (out.process_outbound(offending, now) != Verdict::kPass) continue;
+        ReferenceRouter out(env.victim, kVictimAs, rng.next());
+        if (out.outbound(offending, now) != Verdict::kPass) continue;
         p = build_time_exceeded_v4(offending, rand4(rng, 0x1e000000u));
       }  // else: unmarked — spoofed (kind 7) or legacy source (kind 8)
       packets.emplace_back(std::move(p));
@@ -190,7 +193,7 @@ std::vector<BatchPacket> outbound_mix(Env&, Xoshiro256& rng, std::size_t n) {
 // Serialized form with the IPv4 mark fields (IPID + fragment offset low
 // bits) and checksum masked out: verified/erased marks are re-randomized
 // from each router's own RNG stream, so those bytes legitimately differ
-// between the serial and sharded runs.
+// between runs.
 std::vector<std::uint8_t> canonical(const BatchPacket& packet) {
   return std::visit(
       [](const auto& p) {
@@ -228,11 +231,11 @@ struct Outcome {
   std::vector<std::string> flows;                 // canonical FlowReports
 };
 
-Outcome run_serial(Env& env, const std::vector<BatchPacket>& pristine,
-                   bool outbound, bool alarm_mode, SimTime now) {
+Outcome run_reference(Env& env, const std::vector<BatchPacket>& pristine,
+                      bool outbound, bool alarm_mode, SimTime now) {
   Outcome out;
   std::vector<BatchPacket> packets = pristine;
-  BorderRouter router(env.victim, kVictimAs, /*rng_seed=*/7);
+  ReferenceRouter router(env.victim, kVictimAs, /*rng_seed=*/7);
   router.set_alarm_mode(alarm_mode);
   router.set_alarm_sink([&](const AlarmSample& s) {
     out.alarms.emplace_back(s.source_as, s.inbound);
@@ -242,12 +245,8 @@ Outcome run_serial(Env& env, const std::vector<BatchPacket>& pristine,
   router.set_flow_sink(
       [&](const FlowReport& r) { out.flows.push_back(flow_key(r)); });
   for (BatchPacket& packet : packets) {
-    out.verdicts.push_back(std::visit(
-        [&](auto& p) {
-          return outbound ? router.process_outbound(p, now)
-                          : router.process_inbound(p, now);
-        },
-        packet));
+    out.verdicts.push_back(outbound ? router.outbound(packet, now)
+                                    : router.inbound(packet, now));
   }
   out.stats = router.stats();
   return out;
@@ -283,57 +282,57 @@ Outcome run_engine(Env& env, const std::vector<BatchPacket>& pristine,
   return out;
 }
 
-void expect_equivalent(Outcome& serial, Outcome& engine) {
-  ASSERT_EQ(serial.verdicts.size(), engine.verdicts.size());
-  for (std::size_t i = 0; i < serial.verdicts.size(); ++i) {
-    ASSERT_EQ(serial.verdicts[i], engine.verdicts[i]) << "packet " << i;
+void expect_equivalent(Outcome& reference, Outcome& engine) {
+  ASSERT_EQ(reference.verdicts.size(), engine.verdicts.size());
+  for (std::size_t i = 0; i < reference.verdicts.size(); ++i) {
+    ASSERT_EQ(reference.verdicts[i], engine.verdicts[i]) << "packet " << i;
   }
-  EXPECT_EQ(serial.stats, engine.stats);
+  EXPECT_EQ(reference.stats, engine.stats);
   // Sinks fire in shard-major order inside a batch; compare as multisets.
-  std::sort(serial.alarms.begin(), serial.alarms.end());
+  std::sort(reference.alarms.begin(), reference.alarms.end());
   std::sort(engine.alarms.begin(), engine.alarms.end());
-  EXPECT_EQ(serial.alarms, engine.alarms);
-  std::sort(serial.icmp6.begin(), serial.icmp6.end());
+  EXPECT_EQ(reference.alarms, engine.alarms);
+  std::sort(reference.icmp6.begin(), reference.icmp6.end());
   std::sort(engine.icmp6.begin(), engine.icmp6.end());
-  EXPECT_EQ(serial.icmp6, engine.icmp6);
-  std::sort(serial.flows.begin(), serial.flows.end());
+  EXPECT_EQ(reference.icmp6, engine.icmp6);
+  std::sort(reference.flows.begin(), reference.flows.end());
   std::sort(engine.flows.begin(), engine.flows.end());
-  EXPECT_EQ(serial.flows, engine.flows);
+  EXPECT_EQ(reference.flows, engine.flows);
 }
 
 class EngineEquivalence
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
 };
 
-TEST_P(EngineEquivalence, InboundMatchesSerial) {
+TEST_P(EngineEquivalence, InboundMatchesReference) {
   const auto [seed, shards] = GetParam();
   Env env;
   Xoshiro256 rng(seed);
   const SimTime now = kMinute;
   const auto mix = inbound_mix(env, rng, 10'000, now);
   for (const bool alarm_mode : {false, true}) {
-    Outcome serial = run_serial(env, mix, /*outbound=*/false, alarm_mode, now);
+    Outcome reference = run_reference(env, mix, /*outbound=*/false, alarm_mode, now);
     Outcome engine = run_engine(env, mix, /*outbound=*/false, alarm_mode, now,
                                 shards, /*batch_size=*/512);
-    expect_equivalent(serial, engine);
+    expect_equivalent(reference, engine);
   }
 }
 
-TEST_P(EngineEquivalence, OutboundMatchesSerial) {
+TEST_P(EngineEquivalence, OutboundMatchesReference) {
   const auto [seed, shards] = GetParam();
   Env env;
   Xoshiro256 rng(seed ^ 0x5a5a);
   const SimTime now = kMinute;
   const auto mix = outbound_mix(env, rng, 10'000);
-  Outcome serial = run_serial(env, mix, /*outbound=*/true, false, now);
+  Outcome reference = run_reference(env, mix, /*outbound=*/true, false, now);
   Outcome engine = run_engine(env, mix, /*outbound=*/true, false, now, shards,
                               /*batch_size=*/512);
-  expect_equivalent(serial, engine);
+  expect_equivalent(reference, engine);
 }
 
 // Sealed-path conformance: the same mixes through an engine whose tables
 // were sealed — so lookups ride the compiled DIR-24-8/flat engines — must
-// produce exactly the verdicts, stats, and sink multisets of the serial
+// produce exactly the verdicts, stats, and sink multisets of the reference
 // router walking the build tries. Env construction is deterministic, so the
 // two Envs hold identical tables and keys; only the lookup substrate differs.
 TEST_P(EngineEquivalence, SealedTablesMatchTriePath) {
@@ -345,18 +344,18 @@ TEST_P(EngineEquivalence, SealedTablesMatchTriePath) {
   const SimTime now = kMinute;
   const auto in_mix = inbound_mix(trie_env, rng, 5'000, now);
   for (const bool alarm_mode : {false, true}) {
-    Outcome serial =
-        run_serial(trie_env, in_mix, /*outbound=*/false, alarm_mode, now);
+    Outcome reference =
+        run_reference(trie_env, in_mix, /*outbound=*/false, alarm_mode, now);
     Outcome engine = run_engine(sealed_env, in_mix, /*outbound=*/false,
                                 alarm_mode, now, shards, /*batch_size=*/512);
-    expect_equivalent(serial, engine);
+    expect_equivalent(reference, engine);
   }
   const auto out_mix = outbound_mix(trie_env, rng, 5'000);
-  Outcome serial =
-      run_serial(trie_env, out_mix, /*outbound=*/true, false, now);
+  Outcome reference =
+      run_reference(trie_env, out_mix, /*outbound=*/true, false, now);
   Outcome engine = run_engine(sealed_env, out_mix, /*outbound=*/true, false,
                               now, shards, /*batch_size=*/512);
-  expect_equivalent(serial, engine);
+  expect_equivalent(reference, engine);
 }
 
 // w1 exercises the inline bypass; w2/w4/w8 exercise the persistent-worker
@@ -389,10 +388,10 @@ TEST_F(EngineEdgeCases, EmptyAndSinglePacketBatches) {
   const SimTime now = kMinute;
   const auto mix = inbound_mix(env, rng, 64, now);
   for (const std::size_t batch_size : {std::size_t{1}, std::size_t{64}}) {
-    Outcome serial = run_serial(env, mix, /*outbound=*/false, false, now);
+    Outcome reference = run_reference(env, mix, /*outbound=*/false, false, now);
     Outcome engine =
         run_engine(env, mix, /*outbound=*/false, false, now, 4, batch_size);
-    expect_equivalent(serial, engine);
+    expect_equivalent(reference, engine);
   }
   // A zero-size batch is a no-op: no verdicts, no stats, no worker wakeups.
   DataPlaneEngine engine(env.victim, kVictimAs, EngineConfig{.shards = 4});
@@ -418,10 +417,10 @@ TEST_F(EngineEdgeCases, RingWraparoundUnderBackpressure) {
   Xoshiro256 rng(23);
   const SimTime now = kMinute;
   const auto mix = inbound_mix(env, rng, 10'000, now);
-  Outcome serial = run_serial(env, mix, /*outbound=*/false, true, now);
+  Outcome reference = run_reference(env, mix, /*outbound=*/false, true, now);
   Outcome engine = run_engine(env, mix, /*outbound=*/false, true, now,
                               /*shards=*/4, /*batch_size=*/512, tiny_ring());
-  expect_equivalent(serial, engine);
+  expect_equivalent(reference, engine);
 }
 
 TEST_F(EngineEdgeCases, BatchSizesStraddlingRingCapacity) {
@@ -434,10 +433,10 @@ TEST_F(EngineEdgeCases, BatchSizesStraddlingRingCapacity) {
   // it as the batch size walks 1..5 packets.
   for (const std::size_t batch_size :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    Outcome serial = run_serial(env, mix, /*outbound=*/true, false, now);
+    Outcome reference = run_reference(env, mix, /*outbound=*/true, false, now);
     Outcome engine = run_engine(env, mix, /*outbound=*/true, false, now,
                                 /*shards=*/4, batch_size, config);
-    expect_equivalent(serial, engine);
+    expect_equivalent(reference, engine);
   }
 }
 
@@ -447,7 +446,7 @@ TEST(EngineRoundTrip, GenuineTrafficSurvivesAndMarksAreErased) {
   Env env;
   Xoshiro256 rng(42);
   const SimTime now = kMinute;
-  BorderRouter stamper(env.peer, kPeerAs, 5);
+  ReferenceRouter stamper(env.peer, kPeerAs, 5);
 
   PacketBatch batch;
   std::vector<BatchPacket> originals;
@@ -456,14 +455,14 @@ TEST(EngineRoundTrip, GenuineTrafficSurvivesAndMarksAreErased) {
       Ipv6Packet p = Ipv6Packet::make(rand6(rng, 0xaaaa), rand6(rng, 0xbbbb),
                                       17, rand_payload(rng, 48));
       originals.emplace_back(p);
-      EXPECT_EQ(stamper.process_outbound(p, now), Verdict::kPass);
+      EXPECT_EQ(stamper.outbound(p, now), Verdict::kPass);
       batch.add(std::move(p));
     } else {
       Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                       rand4(rng, 0x14000000u), IpProto::kUdp,
                                       rand_payload(rng, 48));
       originals.emplace_back(p);
-      EXPECT_EQ(stamper.process_outbound(p, now), Verdict::kPass);
+      EXPECT_EQ(stamper.outbound(p, now), Verdict::kPass);
       batch.add(std::move(p));
     }
   }

@@ -24,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "dataplane/transaction.hpp"
+#include "reference_router.hpp"
 
 namespace discs {
 namespace {
@@ -120,7 +121,7 @@ TEST(EngineStressTest, ApplyChurnWhileWorkersDrainTinyRings) {
 
   // Consumer: every packet is genuinely stamped with kKeyA, so every
   // verdict must be kPass regardless of how transactions interleave.
-  BorderRouter stamper(env.peer, kPeerAs, 11);
+  ReferenceRouter stamper(env.peer, kPeerAs, 11);
   Xoshiro256 rng(123);
   std::uint64_t processed = 0;
   for (int b = 0; b < kBatches; ++b) {
@@ -130,13 +131,13 @@ TEST(EngineStressTest, ApplyChurnWhileWorkersDrainTinyRings) {
       if (rng.chance(0.3)) {
         Ipv6Packet p = Ipv6Packet::make(rand6(rng, 0xaaaa), rand6(rng, 0xbbbb),
                                         17, std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       } else {
         Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                         rand4(rng, 0x14000000u), IpProto::kUdp,
                                         std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       }
     }
@@ -228,7 +229,7 @@ TEST(EngineStressTest, PrepareCompilesBesideBatchesAndCommitsConsecutively) {
   });
 
   // At least 60 batches, and keep going until 32 commits landed among them.
-  BorderRouter stamper(env.peer, kPeerAs, 23);
+  ReferenceRouter stamper(env.peer, kPeerAs, 23);
   Xoshiro256 rng(99);
   std::uint64_t processed = 0;
   for (int b = 0; b < 60 || commits.load(std::memory_order_acquire) < 32;
@@ -238,13 +239,13 @@ TEST(EngineStressTest, PrepareCompilesBesideBatchesAndCommitsConsecutively) {
       if (rng.chance(0.3)) {
         Ipv6Packet p = Ipv6Packet::make(rand6(rng, 0xaaaa), rand6(rng, 0xbbbb),
                                         17, std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       } else {
         Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                         rand4(rng, 0x14000000u), IpProto::kUdp,
                                         std::vector<std::uint8_t>(16));
-        ASSERT_EQ(stamper.process_outbound(p, kNow), Verdict::kPass);
+        ASSERT_EQ(stamper.outbound(p, kNow), Verdict::kPass);
         batch.add(std::move(p));
       }
     }
@@ -316,7 +317,7 @@ TEST(EngineStressTest, StopStartCyclesStayLossless) {
     }
   });
 
-  BorderRouter stamper(env.peer, kPeerAs, 17);
+  ReferenceRouter stamper(env.peer, kPeerAs, 17);
   Xoshiro256 rng(29);
   std::uint64_t processed = 0;
   for (int b = 0; b < 40; ++b) {
@@ -326,7 +327,7 @@ TEST(EngineStressTest, StopStartCyclesStayLossless) {
       Ipv4Packet p = Ipv4Packet::make(rand4(rng, 0x0a000000u),
                                       rand4(rng, 0x14000000u), IpProto::kUdp,
                                       std::vector<std::uint8_t>(8));
-      ASSERT_EQ(stamper.process_outbound(p, kMinute), Verdict::kPass);
+      ASSERT_EQ(stamper.outbound(p, kMinute), Verdict::kPass);
       batch.add(std::move(p));
     }
     for (const Verdict v : engine.process_inbound(batch, kMinute)) {

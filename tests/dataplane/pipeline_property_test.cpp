@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "batch_of_one.hpp"
 #include "dataplane/router.hpp"
 
 namespace discs {
@@ -192,8 +193,8 @@ TEST_P(PipelineProperty, GenuineTrafficSurvivesAnyFunctionMix) {
         Ipv4Address(0x0a000000 | (static_cast<std::uint32_t>(rng.next()) & 0xffffff)),
         Ipv4Address(0x14000000 | (static_cast<std::uint32_t>(rng.next()) & 0xffffff)),
         IpProto::kUdp, std::vector<std::uint8_t>(rng.below(16)));
-    ASSERT_EQ(peer.process_outbound(p, now), Verdict::kPass);
-    ASSERT_EQ(victim.process_inbound(p, now), Verdict::kPass);
+    ASSERT_EQ(outbound_one(peer, p, now), Verdict::kPass);
+    ASSERT_EQ(inbound_one(victim, p, now), Verdict::kPass);
     EXPECT_TRUE(p.checksum_valid());
   }
 }

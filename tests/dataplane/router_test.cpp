@@ -1,8 +1,11 @@
 // End-to-end border-router tests: two routers (a peer DAS and the victim
-// DAS) exchanging packets through the §V-C processing flow.
+// DAS) exchanging packets through the §V-C processing flow, one packet per
+// batch call.
 #include "dataplane/router.hpp"
 
 #include <gtest/gtest.h>
+
+#include "batch_of_one.hpp"
 
 namespace discs {
 namespace {
@@ -63,9 +66,9 @@ TEST_F(RouterPairTest, GenuineTrafficPassesEndToEnd) {
   invoke_dp_cdp(0, kHour);
   auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp,
                             {1, 2, 3});
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(peer_router_.stats().out_stamped, 1u);
-  EXPECT_EQ(victim_router_.process_inbound(p, now_ + kMillisecond),
+  EXPECT_EQ(inbound_one(victim_router_, p, now_ + kMillisecond),
             Verdict::kPass);
   EXPECT_EQ(victim_router_.stats().in_verified, 1u);
   EXPECT_TRUE(p.checksum_valid());
@@ -75,7 +78,7 @@ TEST_F(RouterPairTest, SpoofedPacketDroppedAtPeerEgress) {
   invoke_dp_cdp(0, kHour);
   // Agent inside the peer AS spoofing a stranger's source.
   auto p = Ipv4Packet::make(ip("40.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kDropFiltered);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kDropFiltered);
   EXPECT_EQ(peer_router_.stats().out_dropped, 1u);
 }
 
@@ -84,7 +87,7 @@ TEST_F(RouterPairTest, UnstampedDirectSpoofDroppedAtVictim) {
   // Attack traffic from a legacy AS spoofing the peer's addresses reaches
   // the victim without a mark; CDP-verify (src in peer) rejects it.
   auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kDropSpoofed);
   EXPECT_EQ(victim_router_.stats().in_spoof_dropped, 1u);
 }
 
@@ -92,23 +95,23 @@ TEST_F(RouterPairTest, NonPeerSourcesPassUnverified) {
   invoke_dp_cdp(0, kHour);
   // Victim cannot judge traffic whose source is not a collaborator.
   auto p = Ipv4Packet::make(ip("40.0.0.7"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(victim_router_.stats().in_passed_unverified, 1u);
 }
 
 TEST_F(RouterPairTest, TrafficOutsideVictimSubnetUntouched) {
   invoke_dp_cdp(0, kHour);
   auto p = Ipv4Packet::make(ip("40.0.0.1"), ip("20.2.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(peer_router_.stats().out_stamped, 0u);
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
 }
 
 TEST_F(RouterPairTest, InvocationExpiryStopsProcessing) {
   invoke_dp_cdp(0, now_ - kSecond);
   auto p = Ipv4Packet::make(ip("40.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kPass);
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
 }
 
 TEST_F(RouterPairTest, ToleranceIntervalErasesWithoutJudging) {
@@ -116,7 +119,7 @@ TEST_F(RouterPairTest, ToleranceIntervalErasesWithoutJudging) {
   // marks (e.g. stamped under no key at all) are erased, not dropped.
   invoke_dp_cdp(now_ - kSecond, kHour);
   auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(victim_router_.stats().in_erased_tolerance, 1u);
 }
 
@@ -128,7 +131,7 @@ TEST_F(RouterPairTest, AlarmModeSamplesInsteadOfDropping) {
       [&](const AlarmSample& s) { samples.push_back(s); });
 
   auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(victim_router_.stats().in_spoof_sampled, 1u);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].source_as, kPeerAs);
@@ -136,25 +139,25 @@ TEST_F(RouterPairTest, AlarmModeSamplesInsteadOfDropping) {
   // Quitting alarm mode returns to dropping.
   victim_router_.set_alarm_mode(false);
   auto q = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(victim_router_.process_inbound(q, now_), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound_one(victim_router_, q, now_), Verdict::kDropSpoofed);
 }
 
 TEST_F(RouterPairTest, RekeyGraceWindowAcceptsOldKey) {
   invoke_dp_cdp(0, kHour);
   auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kPass);
 
   // Victim installs the new verification key while the packet is in flight;
   // the old key is retained as grace key.
   victim_tables_.key_v.set_key(kPeerAs, derive_key128(99));
-  EXPECT_EQ(victim_router_.process_inbound(p, now_ + kMillisecond),
+  EXPECT_EQ(inbound_one(victim_router_, p, now_ + kMillisecond),
             Verdict::kPass);
 
   // After finish_rekey the old key stops being accepted.
   auto q = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  EXPECT_EQ(peer_router_.process_outbound(q, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, q, now_), Verdict::kPass);
   victim_tables_.key_v.finish_rekey(kPeerAs);
-  EXPECT_EQ(victim_router_.process_inbound(q, now_ + kMillisecond),
+  EXPECT_EQ(inbound_one(victim_router_, q, now_ + kMillisecond),
             Verdict::kDropSpoofed);
 }
 
@@ -166,9 +169,9 @@ TEST_F(RouterPairTest, Ipv6EndToEndStampAndVerify) {
   auto p = Ipv6Packet::make(ip6("2001:db8:a::1"), ip6("2001:db8:b::9"), 17,
                             {1, 2, 3, 4});
   const auto original = p;
-  EXPECT_EQ(peer_router_.process_outbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, p, now_), Verdict::kPass);
   EXPECT_TRUE(p.dest_opts.has_value());
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
   EXPECT_EQ(p, original);  // mark fully removed
 }
 
@@ -176,7 +179,7 @@ TEST_F(RouterPairTest, Ipv6SpoofWithoutMarkDropped) {
   victim_tables_.in_dst.install(*Prefix6::parse("2001:db8:b::/48"),
                                 DefenseFunction::kCdpVerify, 0, kHour);
   auto p = Ipv6Packet::make(ip6("2001:db8:a::1"), ip6("2001:db8:b::9"), 17, {});
-  EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kDropSpoofed);
 }
 
 TEST_F(RouterPairTest, Ipv6MtuOverflowEmitsPacketTooBig) {
@@ -188,7 +191,7 @@ TEST_F(RouterPairTest, Ipv6MtuOverflowEmitsPacketTooBig) {
 
   auto p = Ipv6Packet::make(ip6("2001:db8:a::1"), ip6("2001:db8:b::9"), 17,
                             std::vector<std::uint8_t>(85, 0));  // 40+85=125, +8 > 128
-  EXPECT_EQ(small_mtu_router.process_outbound(p, now_), Verdict::kDropTooBig);
+  EXPECT_EQ(outbound_one(small_mtu_router, p, now_), Verdict::kDropTooBig);
   ASSERT_EQ(icmp.size(), 1u);
   EXPECT_EQ(icmp[0].payload[0], kIcmpV6PacketTooBig);
   // Advertised MTU is 8 below the link MTU.
@@ -205,11 +208,11 @@ TEST_F(RouterPairTest, InboundTimeExceededScrubbed) {
   // peer AS; the returned Time Exceeded quotes the stamped header.
   auto probe = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp,
                                 {1, 2, 3, 4, 5, 6, 7, 8});
-  EXPECT_EQ(peer_router_.process_outbound(probe, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, probe, now_), Verdict::kPass);
   const std::uint32_t stamped_mark = ipv4_read_mark(probe);
 
   auto te = build_time_exceeded_v4(probe, ip("40.0.0.254"));
-  EXPECT_EQ(peer_router_.process_inbound(te, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(peer_router_, te, now_), Verdict::kPass);
   EXPECT_EQ(peer_router_.stats().icmp_scrubbed, 1u);
   // The quoted mark is gone.
   const auto quoted = Ipv4Header::parse(
@@ -225,7 +228,7 @@ TEST_F(RouterPairTest, ReplayOfCapturedMarkFailsForDifferentPacket) {
   invoke_dp_cdp(0, kHour);
   auto original = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"),
                                    IpProto::kUdp, {1, 2, 3, 4, 5, 6, 7, 8});
-  EXPECT_EQ(peer_router_.process_outbound(original, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, original, now_), Verdict::kPass);
   const std::uint32_t captured = ipv4_read_mark(original);
 
   // Attacker reuses the captured mark on a packet with different payload:
@@ -235,11 +238,11 @@ TEST_F(RouterPairTest, ReplayOfCapturedMarkFailsForDifferentPacket) {
   forged.header.identification = static_cast<std::uint16_t>(captured >> 13);
   forged.header.fragment_offset = static_cast<std::uint16_t>(captured & 0x1fff);
   forged.header.refresh_checksum();
-  EXPECT_EQ(victim_router_.process_inbound(forged, now_), Verdict::kDropSpoofed);
+  EXPECT_EQ(inbound_one(victim_router_, forged, now_), Verdict::kDropSpoofed);
 
   // An exact replay (identical msg) does verify — detection of identical
   // duplicates is the destination host's job per the paper.
-  EXPECT_EQ(victim_router_.process_inbound(original, now_), Verdict::kPass);
+  EXPECT_EQ(inbound_one(victim_router_, original, now_), Verdict::kPass);
 }
 
 TEST_F(RouterPairTest, FragmentCollateralCounted) {
@@ -258,9 +261,9 @@ TEST_F(RouterPairTest, FragmentCollateralCounted) {
   auto whole = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp,
                                 {1, 2});
 
-  EXPECT_EQ(peer_router_.process_outbound(frag1, now_), Verdict::kPass);
-  EXPECT_EQ(peer_router_.process_outbound(frag2, now_), Verdict::kPass);
-  EXPECT_EQ(peer_router_.process_outbound(whole, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, frag1, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, frag2, now_), Verdict::kPass);
+  EXPECT_EQ(outbound_one(peer_router_, whole, now_), Verdict::kPass);
   EXPECT_EQ(peer_router_.stats().fragments_stamped, 2u);
   EXPECT_EQ(peer_router_.stats().out_stamped, 3u);
   // The two fragments can no longer share an IPID: reassembly broken.
@@ -276,7 +279,7 @@ TEST_F(RouterPairTest, AlarmSamplingRateThinsReports) {
   for (int k = 0; k < 800; ++k) {
     auto p = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp,
                               {std::uint8_t(k), std::uint8_t(k >> 8)});
-    EXPECT_EQ(victim_router_.process_inbound(p, now_), Verdict::kPass);
+    EXPECT_EQ(inbound_one(victim_router_, p, now_), Verdict::kPass);
   }
   EXPECT_EQ(victim_router_.stats().in_spoof_sampled, 800u);
   // Expect ~100 reports; allow generous Monte-Carlo slack.
@@ -288,8 +291,8 @@ TEST_F(RouterPairTest, StatsCountersaccount) {
   invoke_dp_cdp(0, kHour);
   auto good = Ipv4Packet::make(ip("10.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
   auto bad = Ipv4Packet::make(ip("40.0.0.1"), ip("20.1.0.9"), IpProto::kUdp, {});
-  peer_router_.process_outbound(good, now_);
-  peer_router_.process_outbound(bad, now_);
+  outbound_one(peer_router_, good, now_);
+  outbound_one(peer_router_, bad, now_);
   EXPECT_EQ(peer_router_.stats().out_processed, 2u);
   EXPECT_EQ(peer_router_.stats().out_stamped, 1u);
   EXPECT_EQ(peer_router_.stats().out_dropped, 1u);

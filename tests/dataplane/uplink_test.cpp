@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "batch_of_one.hpp"
+
 namespace discs {
 namespace {
 
@@ -95,7 +97,7 @@ TEST(UplinkTest, EndToEndPrioritizationWithRealVerdicts) {
     if (stamped) ipv4_stamp(packet, mac);
     const auto before = victim.stats().in_verified;
     const auto sampled_before = victim.stats().in_spoof_sampled;
-    const Verdict verdict = victim.process_inbound(packet, kMinute);
+    const Verdict verdict = inbound_one(victim, packet, kMinute);
     const bool verified = victim.stats().in_verified > before;
     const bool demoted = victim.stats().in_spoof_sampled > sampled_before;
     const Verdict effective = demoted ? Verdict::kDropSpoofed : verdict;

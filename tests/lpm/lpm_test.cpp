@@ -97,52 +97,7 @@ TEST(BinaryTrieTest, Ipv6LongestMatch) {
   EXPECT_FALSE(t.lookup(ip6("2001:db9::1")).has_value());
 }
 
-TEST(StrideTrieTest, LongestMatchWins) {
-  StrideTrie<Ipv4Key, int> t;
-  t.insert(pfx4("10.0.0.0/8"), 8);
-  t.insert(pfx4("10.1.0.0/16"), 16);
-  t.insert(pfx4("10.1.2.0/24"), 24);
-  EXPECT_EQ(t.lookup(ip4("10.1.2.3")), 24);
-  EXPECT_EQ(t.lookup(ip4("10.1.9.1")), 16);
-  EXPECT_EQ(t.lookup(ip4("10.9.9.9")), 8);
-  EXPECT_FALSE(t.lookup(ip4("11.0.0.1")).has_value());
-}
-
-TEST(StrideTrieTest, NonByteAlignedPrefixExpansion) {
-  StrideTrie<Ipv4Key, int> t;
-  t.insert(pfx4("10.0.0.0/9"), 9);    // covers 10.0-10.127
-  t.insert(pfx4("10.128.0.0/9"), 90);  // covers 10.128-10.255
-  t.insert(pfx4("10.64.0.0/10"), 10);  // inside the first /9
-  EXPECT_EQ(t.lookup(ip4("10.0.0.1")), 9);
-  EXPECT_EQ(t.lookup(ip4("10.64.0.1")), 10);
-  EXPECT_EQ(t.lookup(ip4("10.127.0.1")), 10);
-  EXPECT_EQ(t.lookup(ip4("10.128.0.1")), 90);
-  EXPECT_EQ(t.lookup(ip4("10.255.0.1")), 90);
-}
-
-TEST(StrideTrieTest, ExpansionOrderIndependent) {
-  // Inserting the shorter prefix after the longer one must not clobber the
-  // longer one's expanded slots.
-  StrideTrie<Ipv4Key, int> a, b;
-  a.insert(pfx4("10.64.0.0/10"), 10);
-  a.insert(pfx4("10.0.0.0/9"), 9);
-  b.insert(pfx4("10.0.0.0/9"), 9);
-  b.insert(pfx4("10.64.0.0/10"), 10);
-  for (const char* probe : {"10.0.0.1", "10.64.0.1", "10.127.255.255"}) {
-    EXPECT_EQ(a.lookup(ip4(probe)), b.lookup(ip4(probe))) << probe;
-  }
-  EXPECT_EQ(a.lookup(ip4("10.64.0.1")), 10);
-}
-
-TEST(StrideTrieTest, DefaultRoute) {
-  StrideTrie<Ipv4Key, int> t;
-  t.insert(pfx4("0.0.0.0/0"), 1);
-  t.insert(pfx4("10.0.0.0/8"), 8);
-  EXPECT_EQ(t.lookup(ip4("9.9.9.9")), 1);
-  EXPECT_EQ(t.lookup(ip4("10.9.9.9")), 8);
-}
-
-// Property test: both engines must agree with a naive linear-scan oracle on
+// Property test: the trie must agree with a naive linear-scan oracle on
 // randomized rule sets and probes.
 class LpmPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -150,7 +105,6 @@ TEST_P(LpmPropertyTest, EnginesAgreeWithNaiveOracle) {
   Xoshiro256 rng(GetParam());
   std::vector<std::pair<Prefix4, int>> rules;
   BinaryTrie<Ipv4Key, int> binary;
-  StrideTrie<Ipv4Key, int> stride;
 
   for (int r = 0; r < 200; ++r) {
     const unsigned len = static_cast<unsigned>(rng.below(33));
@@ -161,7 +115,6 @@ TEST_P(LpmPropertyTest, EnginesAgreeWithNaiveOracle) {
     std::erase_if(rules, [&](const auto& rule) { return rule.first == p; });
     rules.emplace_back(p, value);
     binary.insert(p, value);
-    stride.insert(p, value);
   }
 
   auto oracle = [&](Ipv4Address a) -> std::optional<int> {
@@ -189,7 +142,6 @@ TEST_P(LpmPropertyTest, EnginesAgreeWithNaiveOracle) {
     }
     const auto expected = oracle(a);
     EXPECT_EQ(binary.lookup(a), expected) << a.to_string();
-    EXPECT_EQ(stride.lookup(a), expected) << a.to_string();
   }
 }
 
@@ -462,9 +414,6 @@ TEST(LpmMemoryTest, ReportsNonZeroFootprint) {
   BinaryTrie<Ipv4Key, int> t;
   t.insert(pfx4("10.0.0.0/8"), 1);
   EXPECT_GT(t.memory_bytes(), 0u);
-  StrideTrie<Ipv4Key, int> s;
-  s.insert(pfx4("10.0.0.0/8"), 1);
-  EXPECT_GT(s.memory_bytes(), t.memory_bytes());  // stride trades memory
 }
 
 }  // namespace

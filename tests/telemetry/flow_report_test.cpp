@@ -10,6 +10,7 @@
 #include "dataplane/engine.hpp"
 #include "dataplane/router.hpp"
 #include "telemetry/ring.hpp"
+#include "../dataplane/batch_of_one.hpp"
 
 namespace discs {
 namespace {
@@ -44,7 +45,7 @@ TEST(FlowReportTest, DropModeEmitsReportWithDropVerdict) {
   router.set_flow_sink([&](const FlowReport& r) { reports.push_back(r); });
 
   auto packet = VerifyFixture::spoofed(1);
-  EXPECT_TRUE(is_drop(router.process_inbound(packet, kMinute)));
+  EXPECT_TRUE(is_drop(inbound_one(router, packet, kMinute)));
 
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].verdict, Verdict::kDropSpoofed);
@@ -65,7 +66,7 @@ TEST(FlowReportTest, AlarmModeEmitsPassVerdictAndForwardsPacket) {
   router.set_flow_sink([&](const FlowReport& r) { reports.push_back(r); });
 
   auto packet = VerifyFixture::spoofed(2);
-  EXPECT_FALSE(is_drop(router.process_inbound(packet, kMinute)));
+  EXPECT_FALSE(is_drop(inbound_one(router, packet, kMinute)));
 
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].verdict, Verdict::kPass);
@@ -82,7 +83,7 @@ TEST(FlowReportTest, SamplingRateThinsReportsAndStampsRate) {
   constexpr std::uint32_t kPackets = 400;
   for (std::uint32_t i = 0; i < kPackets; ++i) {
     auto packet = VerifyFixture::spoofed(i);
-    (void)router.process_inbound(packet, kMinute);
+    (void)inbound_one(router, packet, kMinute);
   }
   EXPECT_EQ(router.stats().in_spoof_dropped, kPackets);
   EXPECT_GT(reports.size(), 0u);
@@ -111,8 +112,8 @@ TEST(FlowReportTest, FlowSinkDoesNotPerturbSamplingStream) {
   for (std::uint32_t i = 0; i < 256; ++i) {
     auto p1 = VerifyFixture::spoofed(i);
     auto p2 = VerifyFixture::spoofed(i);
-    (void)alarm_only.process_inbound(p1, i * kMillisecond);
-    (void)both.process_inbound(p2, i * kMillisecond);
+    (void)inbound_one(alarm_only, p1, i * kMillisecond);
+    (void)inbound_one(both, p2, i * kMillisecond);
   }
   EXPECT_EQ(alarm_only.stats(), both.stats());
   EXPECT_EQ(alarm_times_a, alarm_times_b);   // same packets sampled

@@ -18,6 +18,7 @@
 #include "dataplane/engine.hpp"
 #include "dataplane/router.hpp"
 #include "telemetry/metrics.hpp"
+#include "../dataplane/reference_router.hpp"
 
 namespace discs {
 namespace {
@@ -82,7 +83,7 @@ struct EngineFixture {
   }
 
   PacketBatch stamped_batch(std::size_t n, bool valid_marks) {
-    BorderRouter stamper(peer, 100, 7);
+    ReferenceRouter stamper(peer, 100, 7);
     PacketBatch batch;
     Xoshiro256 rng(3);
     for (std::size_t i = 0; i < n; ++i) {
@@ -92,7 +93,7 @@ struct EngineFixture {
           Ipv4Address(0x14000000u |
                       (static_cast<std::uint32_t>(rng.next()) & 0xffffff)),
           IpProto::kUdp, std::vector<std::uint8_t>(16));
-      if (valid_marks) (void)stamper.process_outbound(p, kMinute);
+      if (valid_marks) (void)stamper.outbound(p, kMinute);
       batch.add(BatchPacket(std::move(p)));
     }
     return batch;

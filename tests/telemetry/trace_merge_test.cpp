@@ -18,16 +18,6 @@
 namespace discs::telemetry {
 namespace {
 
-ShardRecord meta_record(std::uint64_t as, std::uint64_t loop_us,
-                        std::uint64_t wall_us) {
-  ShardRecord r;
-  r.kind = ShardRecord::Kind::kMeta;
-  r.as = as;
-  r.loop_us = loop_us;
-  r.wall_us = wall_us;
-  return r;
-}
-
 ShardRecord span_record(std::uint64_t as, const char* name,
                         std::uint64_t trace, std::uint64_t span,
                         std::uint64_t parent, std::uint64_t ts,
