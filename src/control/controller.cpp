@@ -58,6 +58,10 @@ Controller::Controller(ControllerConfig config, EventLoop& loop,
   }
   local_prefixes_ = rpki_->prefixes_of(config_.as);
   local_prefixes6_ = rpki_->prefixes6_of(config_.as);
+  // Deployment-time provisioning (§V-A): the RPKI-derived prefix-to-AS
+  // mapping is the world's one compiled snapshot, adopted rather than
+  // copied; a later map_prefix gives this DAS a private successor.
+  tables_.pfx2as.adopt(rpki_->pfx2as_snapshot());
 
   EngineConfig engine_config = config_.engine;
   if (engine_config.rng_seed == EngineConfig{}.rng_seed) {
@@ -70,17 +74,7 @@ Controller::Controller(ControllerConfig config, EventLoop& loop,
                                              config_.con_rou_latency,
                                              /*expiry_grace=*/config_.tolerance);
 
-  // Deployment-time provisioning: push the RPKI-derived prefix-to-AS
-  // mapping (§V-A) to the engine as the bootstrap transaction, then seal
-  // the tables — from here on, TableTransactions are the only write path.
-  TableTransaction bootstrap;
-  for (const auto& entry : rpki_->entries()) {
-    bootstrap.map_prefix(entry.prefix, entry.origins.front());
-  }
-  for (const auto& entry : rpki_->entries6()) {
-    bootstrap.map_prefix(entry.prefix, entry.origins.front());
-  }
-  con_rou_->submit_immediate(bootstrap);
+  // From here on, TableTransactions are the only write path.
   tables_.seal();
 
   link_.set_failure_handler([this](AsNumber peer, AckToken token) {

@@ -26,32 +26,30 @@ DiscsSystem::DiscsSystem(InternetDataset dataset, AsGraph graph, Config config)
   }
 
   // Dense AS slots: every topology node (slot == node index), then any
-  // dataset origin the topology lacks. Each prefix compiles to the slot of
-  // its first origin, as InternetDataset::origin_of reports it.
+  // Pfx2AS origin the topology lacks. The world's Pfx2AS maps each prefix
+  // to its first origin's interned code; code_slot turns a code into the
+  // origin's slot.
   const std::vector<AsNumber>& nodes = graph_.ases();
   slots_.reserve(nodes.size());
   for (std::uint32_t n = 0; n < nodes.size(); ++n) {
     slots_.push_back(AsSlot{nodes[n], n, nullptr});
     slot_index_.emplace(nodes[n], n);
   }
-  const auto slot_for = [&](const std::vector<AsNumber>& origins) {
-    const auto [it, inserted] = slot_index_.try_emplace(
-        origins.front(), static_cast<std::uint32_t>(slots_.size()));
-    if (inserted) slots_.push_back(AsSlot{origins.front(), kNoSlot, nullptr});
-    return it->second;
+  const auto code_slots = [&](const std::vector<AsNumber>& origins) {
+    std::vector<std::uint32_t> code_slot{kNoSlot};
+    code_slot.reserve(origins.size() + 1);
+    for (const AsNumber as : origins) {
+      const auto [it, inserted] = slot_index_.try_emplace(
+          as, static_cast<std::uint32_t>(slots_.size()));
+      if (inserted) slots_.push_back(AsSlot{as, kNoSlot, nullptr});
+      code_slot.push_back(it->second);
+    }
+    return code_slot;
   };
-  TrieEntries<Ipv4Key, std::uint32_t> v4;
-  v4.reserve(dataset_.entries().size());
-  for (const PrefixOrigin& e : dataset_.entries()) {
-    v4.emplace_back(e.prefix, slot_for(e.origins));
-  }
-  origin4_.build(std::move(v4));
-  TrieEntries<Ipv6Key, std::uint32_t> v6;
-  v6.reserve(dataset_.entries6().size());
-  for (const PrefixOrigin6& e : dataset_.entries6()) {
-    v6.emplace_back(e.prefix, slot_for(e.origins));
-  }
-  origin6_.build(std::move(v6));
+  pfx2as_ = dataset_.pfx2as_snapshot();
+  code_slot4_ = code_slots(pfx2as_->c4.values());
+  code_slot6_ = code_slots(pfx2as_->c6.values());
+  route_rows_.resize(nodes.size());
   route_state_.assign(slots_.size(), 0);
   inbound_.resize(slots_.size());
 }
@@ -166,15 +164,6 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
   return send_batch(origin_as, batch, loop_.now());
 }
 
-bool DiscsSystem::routable(std::uint32_t from_node, std::uint32_t to_node) {
-  const std::uint64_t key = (std::uint64_t{from_node} << 32) | to_node;
-  const auto [it, inserted] = routable_.try_emplace(key, false);
-  if (inserted) {
-    it->second = !graph_.path(slots_[from_node].as, slots_[to_node].as).empty();
-  }
-  return it->second;
-}
-
 std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
                                                     PacketBatch& batch,
                                                     SimTime now) {
@@ -186,7 +175,8 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
     for (DeliveryResult& r : results) r.outcome = DeliveryOutcome::kUnroutable;
     return results;
   }
-  const std::uint32_t origin_node = slots_[origin].node;
+  std::vector<std::uint8_t>& route_row = route_rows_[slots_[origin].node];
+  if (route_row.empty()) route_row.assign(graph_.as_count(), 0);
 
   // The previous call's scratch is cleared here rather than on its way out,
   // so an exception thrown mid-call cannot leak it into this one.
@@ -197,7 +187,7 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
   touched_.clear();
 
   // Resolve: compiled Pfx2AS to a destination slot, then routability from
-  // the lifetime cache, memoized per destination slot for this call.
+  // the origin's row, memoized per destination slot for this call.
   dst_slot_.assign(batch.size(), kNoSlot);
   crossing_.clear();
   for (std::uint32_t i = 0; i < batch.size(); ++i) {
@@ -209,7 +199,11 @@ std::vector<DeliveryResult> DiscsSystem::send_batch(AsNumber origin_as,
     }
     std::uint8_t& state = route_state_[dst];
     if (state == 0) {
-      state = routable(origin_node, slots_[dst].node) ? 2 : 1;
+      std::uint8_t& known = route_row[slots_[dst].node];
+      if (known == 0) {
+        known = graph_.path(origin_as, slots_[dst].as).empty() ? 1 : 2;
+      }
+      state = known;
       touched_.push_back(dst);
     }
     if (state == 1) {

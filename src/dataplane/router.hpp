@@ -187,10 +187,12 @@ class BorderRouter {
  private:
   /// The §V-C spoof consequence of both address families' phase B:
   /// count, report (alarm sample + flow report under one sampling
-  /// decision), and decide pass (alarm mode) vs drop.
+  /// decision), and decide pass (alarm mode) vs drop. Out of line: it is
+  /// the cold path of phase B, kept out of the per-packet visit.
   template <typename Packet>
-  Verdict spoof_consequence(const Packet& packet, const InTuple& tuple,
-                            const AlarmSample& sample);
+  [[gnu::noinline]] Verdict spoof_consequence(const Packet& packet,
+                                              const InTuple& tuple,
+                                              const AlarmSample& sample);
 
   // Batch-pipeline scratch (one packet that still needs phase B, and its
   // deferred MAC slot when one was queued). Kept as members so repeated

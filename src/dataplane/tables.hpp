@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -117,6 +118,27 @@ struct NextCompiled {
   }
 };
 
+/// The data behind a Pfx2AsTable: the build tries and, once compiled, their
+/// flat forms (lpm/flat.hpp). A world's Pfx2AS is one of these, built once
+/// by InternetDataset::pfx2as_snapshot() and read by every table that
+/// adopts it.
+struct Pfx2AsData {
+  Lpm4<AsNumber> v4;
+  Lpm6<AsNumber> v6;
+  CompiledLpm<Ipv4Key, AsNumber> c4;
+  CompiledLpm<Ipv6Key, AsNumber> c6;
+  bool compiled = false;
+
+  /// A deep copy: the tries cloned, the compiled forms copied.
+  [[nodiscard]] Pfx2AsData clone() const {
+    return {v4.clone(), v6.clone(), c4, c6, compiled};
+  }
+};
+
+/// An immutable, reference-counted, compiled Pfx2AS: what every DAS of a
+/// world shares (paper §V-A gives them all the same RPKI-derived mapping).
+using Pfx2AsSnapshot = std::shared_ptr<const Pfx2AsData>;
+
 /// Maps an address to its origin AS (longest prefix match). This is the
 /// router-resident projection of the controller's RPKI-derived mapping.
 ///
@@ -124,51 +146,105 @@ struct NextCompiled {
 /// compiles them into immutable flat arrays (lpm/flat.hpp) that lookups
 /// prefer once present, and each transaction that maps a prefix on sealed
 /// tables swaps in a freshly built form (prepare/commit, transaction.hpp).
+///
+/// Tries and compiled forms sit behind a shared pointer, copy-on-write: a
+/// table that adopt()s a snapshot shares it with every other adopter, and
+/// the first write gives the table a private successor, so no write ever
+/// reaches the snapshot. A table holding the only reference writes in place.
 class Pfx2AsTable {
  public:
-  using Next = NextCompiled<CompiledLpm<Ipv4Key, AsNumber>,
-                            CompiledLpm<Ipv6Key, AsNumber>>;
+  /// What prepare builds for a transaction's map_prefix ops. On data this
+  /// table holds alone: the compiled form of each touched family (the
+  /// commit inserts into the tries in place and swaps the forms in). On
+  /// shared data: a whole private `successor` with the ops applied (the
+  /// commit swaps the pointer; the retired one comes back here).
+  struct Next : NextCompiled<CompiledLpm<Ipv4Key, AsNumber>,
+                             CompiledLpm<Ipv6Key, AsNumber>> {
+    std::shared_ptr<Pfx2AsData> successor;
+  };
+
+  Pfx2AsTable() : data_(std::make_shared<Pfx2AsData>()) {}
+  Pfx2AsTable(const Pfx2AsTable&) = delete;
+  Pfx2AsTable& operator=(const Pfx2AsTable&) = delete;
+
+  /// Compiles both families of the given tries with the builder seal()
+  /// uses and freezes the result as a snapshot tables can adopt().
+  [[nodiscard]] static Pfx2AsSnapshot compile_snapshot(Lpm4<AsNumber> v4,
+                                                       Lpm6<AsNumber> v6) {
+    auto data = std::make_shared<Pfx2AsData>();
+    data->v4 = std::move(v4);
+    data->v6 = std::move(v6);
+    compile_in(*data);
+    return data;
+  }
+
+  /// Reads `snapshot` from now on, in place of the table's own data.
+  void adopt(Pfx2AsSnapshot snapshot) {
+    detail::check_guard(guard_, "pfx2as");
+    // Writes never reach shared data: add() copies it first, and a
+    // transaction on shared data commits a private successor instead.
+    data_ = std::const_pointer_cast<Pfx2AsData>(std::move(snapshot));
+  }
 
   void add(const Prefix4& prefix, AsNumber as) {
     detail::check_guard(guard_, "pfx2as");
-    v4_.insert(prefix, as);
-    compiled_ = false;
+    Pfx2AsData& data = own();
+    data.v4.insert(prefix, as);
+    data.compiled = false;
   }
   void add(const Prefix6& prefix, AsNumber as) {
     detail::check_guard(guard_, "pfx2as");
-    v6_.insert(prefix, as);
-    compiled_ = false;
+    Pfx2AsData& data = own();
+    data.v6.insert(prefix, as);
+    data.compiled = false;
   }
 
   [[nodiscard]] AsNumber lookup(Ipv4Address addr) const {
-    if (compiled_) return c4_.lookup_or(addr, kNoAs);
-    return v4_.lookup(addr).value_or(kNoAs);
+    const Pfx2AsData& data = *data_;
+    if (data.compiled) return data.c4.lookup_or(addr, kNoAs);
+    return data.v4.lookup(addr).value_or(kNoAs);
   }
   [[nodiscard]] AsNumber lookup(const Ipv6Address& addr) const {
-    if (compiled_) return c6_.lookup_or(addr, kNoAs);
-    return v6_.lookup(addr).value_or(kNoAs);
+    const Pfx2AsData& data = *data_;
+    if (data.compiled) return data.c6.lookup_or(addr, kNoAs);
+    return data.v6.lookup(addr).value_or(kNoAs);
   }
 
   /// Sealed-path cache hint for an upcoming lookup (no-op until compiled).
   void prefetch(Ipv4Address addr) const {
-    if (compiled_) c4_.prefetch(addr);
+    if (data_->compiled) data_->c4.prefetch(addr);
   }
   void prefetch(const Ipv6Address& addr) const {
-    if (compiled_) c6_.prefetch(addr);
+    if (data_->compiled) data_->c6.prefetch(addr);
   }
 
-  [[nodiscard]] std::size_t size() const { return v4_.size() + v6_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return data_->v4.size() + data_->v6.size();
+  }
   [[nodiscard]] std::size_t memory_bytes() const {
-    return v4_.memory_bytes() + v6_.memory_bytes();
+    return data_->v4.memory_bytes() + data_->v6.memory_bytes();
   }
-  [[nodiscard]] bool compiled() const { return compiled_; }
+  [[nodiscard]] bool compiled() const { return data_->compiled; }
   [[nodiscard]] std::size_t compiled_memory_bytes() const {
-    return compiled_ ? c4_.memory_bytes() + c6_.memory_bytes() : 0;
+    return compiled() ? data_->c4.memory_bytes() + data_->c6.memory_bytes()
+                      : 0;
   }
+  /// The data this table reads: the same pointer in every table that
+  /// adopted one snapshot and has not written since.
+  [[nodiscard]] const Pfx2AsData* data() const { return data_.get(); }
 
  private:
   friend struct RouterTables;
   friend class TableTransaction;
+
+  /// True when another holder (a snapshot's dataset, another table) reads
+  /// the same data, so a write needs a private successor first.
+  [[nodiscard]] bool shared() const { return data_.use_count() > 1; }
+  /// The data, made private first if it is shared (copy-on-write).
+  Pfx2AsData& own() {
+    if (shared()) data_ = std::make_shared<Pfx2AsData>(data_->clone());
+    return *data_;
+  }
 
   /// The one builder, shared by seal() and prepare: the compiled form of
   /// `trie` as if `overlay` were inserted in order. Reads the trie only.
@@ -180,28 +256,48 @@ class Pfx2AsTable {
     compiled.build(entries_after(trie, std::move(overlay)));
     return compiled;
   }
-  /// The next form of every family `mapped` touches (prepare step).
+  static void compile_in(Pfx2AsData& data) {
+    data.c4 = build(data.v4, {});
+    data.c6 = build(data.v6, {});
+    data.compiled = true;
+  }
+  /// The next form of every family `mapped` touches (prepare step); on
+  /// shared data, the successor that carries them. Reads the live data only.
   [[nodiscard]] Next prepare(FamilyOverlay<AsNumber> mapped) const {
     Next next;
-    if (!mapped.v4.empty()) next.v4 = build(v4_, std::move(mapped.v4));
-    if (!mapped.v6.empty()) next.v6 = build(v6_, std::move(mapped.v6));
+    if (mapped.v4.empty() && mapped.v6.empty()) return next;
+    if (!shared()) {
+      if (!mapped.v4.empty()) next.v4 = build(data_->v4, std::move(mapped.v4));
+      if (!mapped.v6.empty()) next.v6 = build(data_->v6, std::move(mapped.v6));
+      return next;
+    }
+    auto successor = std::make_shared<Pfx2AsData>();
+    successor->v4 = data_->v4.clone();
+    successor->v6 = data_->v6.clone();
+    for (const auto& [prefix, as] : mapped.v4) successor->v4.insert(prefix, as);
+    for (const auto& [prefix, as] : mapped.v6) successor->v6.insert(prefix, as);
+    successor->c4 = mapped.v4.empty() ? data_->c4 : build(successor->v4, {});
+    successor->c6 = mapped.v6.empty() ? data_->c6 : build(successor->v6, {});
+    successor->compiled = true;
+    next.successor = std::move(successor);
     return next;
   }
-  /// Swaps in the forms `next` carries; the retired ones go back into it.
+  /// Swaps in what `next` carries (a successor, or forms for the data in
+  /// place); the retired pointer or forms go back into it.
   void swap_compiled(Next& next) {
-    if (next.swap_with(c4_, c6_)) compiled_ = true;
+    if (next.successor) {
+      data_.swap(next.successor);
+    } else if (next.swap_with(data_->c4, data_->c6)) {
+      data_->compiled = true;
+    }
   }
-  /// Compiles both families from the tries (RouterTables::seal).
+  /// Compiles both families from the tries (RouterTables::seal); data that
+  /// is already compiled (an adopted snapshot) is left as it is.
   void compile() {
-    Next next{build(v4_, {}), build(v6_, {})};
-    swap_compiled(next);
+    if (!data_->compiled) compile_in(own());
   }
 
-  Lpm4<AsNumber> v4_;
-  Lpm6<AsNumber> v6_;
-  CompiledLpm<Ipv4Key, AsNumber> c4_;
-  CompiledLpm<Ipv6Key, AsNumber> c6_;
-  bool compiled_ = false;
+  std::shared_ptr<Pfx2AsData> data_;
   const TableWriteGuard* guard_ = nullptr;
 };
 
@@ -431,9 +527,9 @@ class FunctionTable {
 /// The full table set of one border router.
 ///
 /// Sub-tables are born unguarded so tests and benches can populate them
-/// directly. A controller calls `seal()` once its bootstrap transaction is
-/// applied; from then on the only mutation path is a TableTransaction's
-/// commit (any other write aborts — see TableWriteGuard).
+/// directly. A controller calls `seal()` once its Pfx2AS has adopted the
+/// world's snapshot; from then on the only mutation path is a
+/// TableTransaction's commit (any other write aborts — see TableWriteGuard).
 struct RouterTables {
   RouterTables() { bind_guards(); }
   /// Constructs all four function tables with the given tolerance interval.

@@ -170,11 +170,14 @@ TableEpoch TableTransaction::commit(RouterTables& tables, Prepared&& prepared,
     stale_prepare(prepared.epoch, tables.epoch_);
   }
   const TableWriteGuard::Scope scope(tables.guard_);
+  // A copy-on-write successor already holds the mapped prefixes.
+  const bool map_in_place = !prepared.pfx2as.successor;
   for (const Op& op : ops_) {
     std::visit(
         [&](const auto& o) {
           using O = std::decay_t<decltype(o)>;
           if constexpr (std::is_same_v<O, MapPrefixOp>) {
+            if (!map_in_place) return;
             std::visit([&](const auto& p) { tables.pfx2as.add(p, o.as); },
                        o.prefix);
           } else if constexpr (std::is_same_v<O, SetKeyOp>) {

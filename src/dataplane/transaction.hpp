@@ -11,8 +11,11 @@
 //    builds the compiled form of every sealed prefix table the ops change —
 //    Pfx2AS for each family a map_prefix touches, a function table for each
 //    family it gains a prefix in. Key, window and expiry ops prepare nothing.
+//    A Pfx2AS shared with other tables (a world's snapshot) is never edited:
+//    prepare builds a private successor with the mappings applied instead.
 //  - commit: under the writer lock, applies the ops to the tries and the
-//    key/window tables, swaps the prepared forms in, and bumps the epoch.
+//    key/window tables, swaps the prepared forms (or the Pfx2AS successor's
+//    pointer) in, and bumps the epoch.
 //    It aborts if the tables moved since prepare; the retired forms go back
 //    to the caller to free after unlocking.
 // `apply` is commit(prepare()) for callers that hold no lock.
@@ -44,7 +47,7 @@ using AnyPrefix = std::variant<Prefix4, Prefix6>;
 
 class TableTransaction {
  public:
-  /// Pfx2AS mapping (bootstrap / route-origin updates).
+  /// Pfx2AS mapping (route-origin updates).
   TableTransaction& map_prefix(const Prefix4& prefix, AsNumber as);
   TableTransaction& map_prefix(const Prefix6& prefix, AsNumber as);
 

@@ -263,6 +263,14 @@ class CompiledLpm {
     return code == 0 ? fallback : pool_[code - 1];
   }
 
+  /// The interned code of `addr`'s longest match: 0 for none, else
+  /// values()[code - 1] is its value. Lets a reader keep a dense side table
+  /// indexed by code instead of hashing the values.
+  [[nodiscard]] std::uint32_t code_of(const Address& addr) const {
+    return pool_.empty() ? 0 : table_.code_of(addr);
+  }
+  [[nodiscard]] const std::vector<Value>& values() const { return pool_; }
+
   void prefetch(const Address& addr) const {
     if (!pool_.empty()) table_.prefetch(addr);
   }

@@ -129,6 +129,16 @@ class BinaryTrie {
     nodes_ = 1;
   }
 
+  /// A deep copy. Explicit rather than a copy constructor, so a trie is
+  /// only ever duplicated on purpose (a copy-on-write table's successor).
+  [[nodiscard]] BinaryTrie clone() const {
+    BinaryTrie copy;
+    copy.root_ = clone_node(*root_);
+    copy.size_ = size_;
+    copy.nodes_ = nodes_;
+    return copy;
+  }
+
   /// Approximate heap footprint in bytes. The node count is maintained
   /// incrementally on insert — the router cost bench calls this in a loop,
   /// so it must not walk the trie.
@@ -141,6 +151,15 @@ class BinaryTrie {
     std::unique_ptr<Node> child[2];
     std::optional<Value> value;
   };
+
+  static std::unique_ptr<Node> clone_node(const Node& node) {
+    auto copy = std::make_unique<Node>();
+    copy->value = node.value;
+    for (unsigned b = 0; b < 2; ++b) {
+      if (node.child[b]) copy->child[b] = clone_node(*node.child[b]);
+    }
+    return copy;
+  }
 
   template <typename Fn>
   static void visit_entries_rec(

@@ -4,9 +4,12 @@
 #include <fstream>
 #include <istream>
 #include <map>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "dataplane/tables.hpp"
 
 namespace discs {
 namespace {
@@ -40,8 +43,14 @@ bool parse_origins(std::string_view field, std::vector<AsNumber>& out) {
 
 }  // namespace
 
+struct InternetDataset::SnapshotCache {
+  std::once_flag built;
+  Pfx2AsSnapshot snapshot;
+};
+
 InternetDataset::InternetDataset(std::vector<PrefixOrigin> entries,
-                                 std::vector<PrefixOrigin6> entries6) {
+                                 std::vector<PrefixOrigin6> entries6)
+    : snapshot_cache_(std::make_shared<SnapshotCache>()) {
   if (entries.empty()) {
     throw std::invalid_argument("InternetDataset: empty prefix table");
   }
@@ -288,6 +297,20 @@ std::vector<Prefix6> InternetDataset::prefixes6_of(AsNumber as) const {
     result.push_back(entries6_[index].prefix);
   }
   return result;
+}
+
+Pfx2AsSnapshot InternetDataset::pfx2as_snapshot() const {
+  SnapshotCache& cache = *snapshot_cache_;
+  std::call_once(cache.built, [&] {
+    Lpm4<AsNumber> v4;
+    for (const PrefixOrigin& e : entries_) v4.insert(e.prefix, e.origins.front());
+    Lpm6<AsNumber> v6;
+    for (const PrefixOrigin6& e : entries6_) {
+      v6.insert(e.prefix, e.origins.front());
+    }
+    cache.snapshot = Pfx2AsTable::compile_snapshot(std::move(v4), std::move(v6));
+  });
+  return cache.snapshot;
 }
 
 std::vector<AsNumber> InternetDataset::ases_by_space_desc() const {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "lpm/lpm.hpp"
 
 namespace discs {
+
+struct Pfx2AsData;  // dataplane/tables.hpp
 
 /// One mapping entry: a routed prefix and its origin AS(es).
 struct PrefixOrigin {
@@ -117,7 +120,21 @@ class InternetDataset {
   [[nodiscard]] bool owns(AsNumber as, const Prefix6& prefix) const;
   [[nodiscard]] std::vector<Prefix6> prefixes6_of(AsNumber as) const;
 
+  // ---- the world's Pfx2AS (§V-A) ----
+
+  /// The compiled prefix-to-AS mapping every DAS over this dataset reads:
+  /// both families, each prefix mapped to its first origin (as origin_of
+  /// reports it), compiled by the builder RouterTables::seal() uses.
+  /// Immutable and reference-counted: controllers adopt it instead of
+  /// building their own, and a table that later writes gets a private
+  /// copy, so the snapshot never changes. Built on the first call
+  /// (thread-safe) and shared by copies of this dataset, so a dataset that
+  /// never deploys a controller never pays for it.
+  [[nodiscard]] std::shared_ptr<const Pfx2AsData> pfx2as_snapshot() const;
+
  private:
+  struct SnapshotCache;
+
   std::vector<PrefixOrigin> entries_;
   std::vector<PrefixOrigin6> entries6_;
   std::vector<AsNumber> as_numbers_;
@@ -127,6 +144,7 @@ class InternetDataset {
   double total_space_ = 0;
   Lpm4<std::uint32_t> pfx2as_;   // value = index into entries_
   Lpm6<std::uint32_t> pfx2as6_;  // value = index into entries6_
+  std::shared_ptr<SnapshotCache> snapshot_cache_;
 };
 
 }  // namespace discs

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/ring.hpp"
 #include "reference_router.hpp"
 
@@ -145,6 +146,41 @@ TEST(EngineDeterminismTest, DifferentSeedsDiverge) {
   const RunResult a = run_once(2024);
   const RunResult b = run_once(4048);
   EXPECT_FALSE(a.stats == b.stats);
+}
+
+// Inline chunking oracle: a single-shard batch runs inline on the caller in
+// autotuned ranges of at most max_chunk packets, so the walk stays
+// cache-resident. Each range is one router batch walk, and each walk records
+// the CMAC occupancy histogram once — so the histogram's count is the number
+// of chunks the engine ran, a counter rather than a timing ratio.
+TEST(EngineChunkingTest, InlineBatchRecordsOneCmacOccupancyPerChunk) {
+  Env env;
+  EngineConfig config;
+  config.shards = 1;
+  DataPlaneEngine engine(env.peer, kPeerAs, config);
+  telemetry::MetricsRegistry registry;
+  engine.bind_metrics(registry);
+
+  const std::size_t max_chunk = EngineConfig{}.max_chunk;
+  const std::size_t n = 10 * max_chunk + 3;
+  Xoshiro256 rng(5);
+  PacketBatch batch;
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.add(Ipv4Packet::make(rand4(rng, 0x0a000000u), rand4(rng, 0x14000000u),
+                               IpProto::kUdp, std::vector<std::uint8_t>(16)));
+  }
+  const std::vector<Verdict> verdicts = engine.process_outbound(batch, kMinute);
+  ASSERT_EQ(verdicts.size(), n);
+  EXPECT_EQ(engine.stats().out_stamped, n);  // every packet took the CMAC walk
+
+  // n / kChunksPerShard exceeds max_chunk, so the autotuner clamps to it.
+  ASSERT_EQ(engine.chunk_hint(), max_chunk);
+  const std::size_t chunks = (n + max_chunk - 1) / max_chunk;
+  const telemetry::Histogram::Snapshot occupancy =
+      registry.histogram("discs_engine_cmac_batch_occupancy", {}).snapshot();
+  EXPECT_EQ(occupancy.count, chunks);
+  EXPECT_DOUBLE_EQ(occupancy.sum, static_cast<double>(n));
+  engine.unbind_metrics();
 }
 
 }  // namespace

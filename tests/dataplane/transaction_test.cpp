@@ -1,7 +1,8 @@
 // TableTransaction semantics: batched atomic application, epoch stamping,
 // duration-relative windows, the sealed-tables writer discipline, and the
 // prepare/commit split (a differential oracle after every commit, and the
-// engine's writer-lock hold against its off-lock prepare).
+// engine's writer-lock hold against its off-lock prepare), and the Pfx2AS's
+// copy-on-write: a shared snapshot is never written, a sole owner is.
 #include "dataplane/transaction.hpp"
 
 #include <gtest/gtest.h>
@@ -557,6 +558,100 @@ TEST(TableTransactionTest, EngineHoldsTheWriterLockOnlyToCommit) {
   EXPECT_GT(prepare.sum, 0.0);
   EXPECT_LT(hold.sum, prepare.sum / 10)
       << "lock hold " << hold.sum << " s vs prepare " << prepare.sum << " s";
+}
+
+Ipv6Address ip6(const char* t) { return *Ipv6Address::parse(t); }
+
+/// 10/8 and 2001:db8::/32 -> AS 100, compiled the way a world's snapshot is.
+Pfx2AsSnapshot small_snapshot() {
+  Lpm4<AsNumber> v4;
+  v4.insert(pfx("10.0.0.0/8"), 100);
+  Lpm6<AsNumber> v6;
+  v6.insert(*Prefix6::parse("2001:db8::/32"), 100);
+  return Pfx2AsTable::compile_snapshot(std::move(v4), std::move(v6));
+}
+
+/// The snapshot still maps exactly what small_snapshot() put in it.
+void expect_snapshot_intact(const Pfx2AsData& data) {
+  EXPECT_EQ(data.v4.size(), 1u);
+  EXPECT_EQ(data.v4.lookup(ip("10.1.2.3")).value_or(kNoAs), 100u);
+  EXPECT_EQ(data.c4.lookup_or(ip("10.1.2.3"), kNoAs), 100u);
+  EXPECT_EQ(data.c6.lookup_or(ip6("2001:db8::1"), kNoAs), 100u);
+}
+
+TEST(Pfx2AsCopyOnWriteTest, MapPrefixOnSharedDataCommitsAPrivateSuccessor) {
+  const Pfx2AsSnapshot snapshot = small_snapshot();
+  RouterTables a;
+  RouterTables b;
+  a.pfx2as.adopt(snapshot);
+  b.pfx2as.adopt(snapshot);
+  a.seal();
+  b.seal();
+  // Sealing compiles nothing: both tables still read the snapshot itself.
+  ASSERT_EQ(a.pfx2as.data(), snapshot.get());
+  ASSERT_EQ(b.pfx2as.data(), snapshot.get());
+
+  TableTransaction txn;
+  txn.map_prefix(pfx("10.1.0.0/16"), 7);
+  TableTransaction::Prepared prepared = txn.prepare(a);
+  ASSERT_TRUE(prepared.pfx2as.successor);
+  EXPECT_FALSE(prepared.pfx2as.v4 || prepared.pfx2as.v6);
+  txn.commit(a, std::move(prepared), 0);
+  // After the swap the retired pointer is what the prepared value holds.
+  EXPECT_EQ(prepared.pfx2as.successor.get(), snapshot.get());
+
+  EXPECT_NE(a.pfx2as.data(), snapshot.get());
+  EXPECT_EQ(a.pfx2as.lookup(ip("10.1.2.3")), 7u);
+  EXPECT_EQ(a.pfx2as.lookup(ip("10.2.0.1")), 100u);
+  EXPECT_EQ(a.pfx2as.lookup(ip6("2001:db8::1")), 100u);  // family kept
+  EXPECT_EQ(b.pfx2as.data(), snapshot.get());
+  EXPECT_EQ(b.pfx2as.lookup(ip("10.1.2.3")), 100u);
+  expect_snapshot_intact(*snapshot);
+
+  // The successor is a's alone: the next map_prefix edits it in place.
+  const Pfx2AsData* successor = a.pfx2as.data();
+  TableTransaction again;
+  again.map_prefix(pfx("10.2.0.0/16"), 8);
+  again.apply(a, 0);
+  EXPECT_EQ(a.pfx2as.data(), successor);
+  EXPECT_EQ(a.pfx2as.lookup(ip("10.2.0.1")), 8u);
+}
+
+TEST(Pfx2AsCopyOnWriteTest, DirectAddToSharedDataCopiesFirst) {
+  const Pfx2AsSnapshot snapshot = small_snapshot();
+  Pfx2AsTable table;  // unsealed: adds mutate directly
+  table.adopt(snapshot);
+  table.add(pfx("10.1.0.0/16"), 7);
+  EXPECT_NE(table.data(), snapshot.get());
+  EXPECT_EQ(table.lookup(ip("10.1.2.3")), 7u);
+  EXPECT_EQ(table.lookup(ip("10.2.0.1")), 100u);
+  expect_snapshot_intact(*snapshot);
+}
+
+/// A sealed table that holds the only reference to its data commits a
+/// map_prefix in place — the path every fixture and a standalone engine
+/// take — with no trie clone: its data pointer never moves.
+TEST(Pfx2AsCopyOnWriteTest, SoleOwnerCommitsInPlace) {
+  RouterTables tables;
+  tables.pfx2as.add(pfx("10.0.0.0/8"), 100);
+  tables.seal();
+  const Pfx2AsData* data = tables.pfx2as.data();
+
+  TableTransaction txn;
+  txn.map_prefix(pfx("10.1.0.0/16"), 7);
+  TableTransaction::Prepared prepared = txn.prepare(tables);
+  EXPECT_FALSE(prepared.pfx2as.successor);
+  EXPECT_TRUE(prepared.pfx2as.v4.has_value());
+  txn.commit(tables, std::move(prepared), 0);
+  EXPECT_EQ(tables.pfx2as.data(), data);
+  EXPECT_EQ(tables.pfx2as.lookup(ip("10.1.2.3")), 7u);
+
+  DataPlaneEngine engine(tables, 100);
+  TableTransaction through_engine;
+  through_engine.map_prefix(pfx("10.2.0.0/16"), 8);
+  engine.apply(through_engine, kSecond);
+  EXPECT_EQ(tables.pfx2as.data(), data);
+  EXPECT_EQ(tables.pfx2as.lookup(ip("10.2.0.1")), 8u);
 }
 
 }  // namespace
